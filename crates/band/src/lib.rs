@@ -32,7 +32,6 @@ pub mod bulge_packed;
 pub mod common;
 pub mod error;
 pub mod formw;
-pub mod multisweep;
 pub mod panel;
 mod qupdate;
 pub mod sbr_dbr;
@@ -46,7 +45,6 @@ pub use bulge_packed::{bulge_chase_packed, bulge_chase_packed_with};
 pub use common::{max_outside_band, SbrOptions, SbrResult};
 pub use error::BandError;
 pub use formw::{apply_q, form_wy};
-pub use multisweep::{band_reduce_sweep, multi_sweep_tridiagonalize};
 pub use panel::{factor_panel, factor_panel_with, FactoredPanel, PanelKind};
 pub use sbr_dbr::{sbr_dbr, DbrOptions};
 pub use sbr_wy::{sbr_wy, LevelWy, WyOptions, WySbrResult};

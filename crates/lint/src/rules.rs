@@ -548,7 +548,6 @@ pub const R9_FILES: &[&str] = &[
     "crates/band/src/sbr_zy.rs",
     "crates/band/src/bulge.rs",
     "crates/band/src/bulge_packed.rs",
-    "crates/band/src/multisweep.rs",
     "crates/core/src/pipeline.rs",
     "crates/serve/",
 ];

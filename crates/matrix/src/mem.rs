@@ -3,8 +3,9 @@
 //! Every [`Mat`](crate::Mat) construction and drop reports its backing
 //! buffer's capacity here, so the process-wide live-byte count and its peak
 //! are observable at any point — the safe-Rust stand-in for a GPU memory
-//! pool's high-watermark query. The pipeline resets the peak at each stage
-//! seam ([`reset_peak`]) to attribute `stage.*.peak_bytes` counters, and
+//! pool's high-watermark query. A traced pipeline run resets the peak at
+//! each stage seam ([`reset_peak`]) to attribute `stage.*.peak_bytes`
+//! counters (an untraced run leaves it alone), and
 //! `tcevd-perfmodel`'s footprint predictions are validated against the same
 //! numbers.
 //!

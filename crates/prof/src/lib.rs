@@ -38,8 +38,8 @@ pub use report::{
 use std::time::Instant;
 use tcevd_trace::TraceSink;
 
-/// RAII stage seam: snapshot the GEMM counters and reset the matrix
-/// allocation watermark on entry, attribute the deltas to
+/// RAII stage seam: snapshot the GEMM counters and (on an enabled sink)
+/// reset the matrix allocation watermark on entry, attribute the deltas to
 /// `stage.{name}.{flops,bytes,calls,peak_bytes}` plus
 /// `time.stage.{name}_ns` on drop. The global `mem.peak_bytes` watermark
 /// (ROADMAP item 5) is raised alongside.
@@ -71,9 +71,15 @@ pub struct StageScope {
 
 impl StageScope {
     /// Open a stage seam named `stage` on `sink`. Cheap when the sink is
-    /// disabled (counter reads return 0 and the drop-side adds are no-ops).
+    /// disabled (counter reads return 0 and the drop-side adds are no-ops),
+    /// and then the watermark is left alone, so [`mem::peak_bytes`] read
+    /// around an untraced run still holds the whole run's peak.
+    ///
+    /// [`mem::peak_bytes`]: tcevd_matrix::mem::peak_bytes
     pub fn begin(sink: &TraceSink, stage: &'static str) -> Self {
-        tcevd_matrix::mem::reset_peak();
+        if sink.is_enabled() {
+            tcevd_matrix::mem::reset_peak();
+        }
         StageScope {
             sink: sink.clone(),
             stage,

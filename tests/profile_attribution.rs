@@ -183,3 +183,35 @@ fn bench_compare_gates_a_synthetic_regression() {
         "20% slower must fail the 10% gate: {regs:?}"
     );
 }
+
+/// An untraced run leaves the allocation watermark alone, so
+/// `mem::peak_bytes` read around it holds the whole run's peak — at least
+/// the largest stage peak the same run reports when traced.
+#[test]
+fn untraced_run_keeps_the_whole_run_watermark() {
+    let _serial = RUN_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, seed, sbr) = (96usize, 3u64, SbrVariant::Wy { block: 32 });
+    let a: Mat<f32> = generate(n, MatrixType::Normal, seed).cast();
+    let opts = SymEigOptions {
+        bandwidth: 8,
+        sbr,
+        panel: PanelKind::Tsqr,
+        solver: TridiagSolver::DivideConquer,
+        vectors: true,
+        trace: false,
+        recovery: Default::default(),
+        threads: 0,
+    };
+    tcevd::matrix::mem::reset_peak();
+    sym_eig(&a, &opts, &GemmContext::new(Engine::Tc)).expect("untraced run");
+    let untraced = tcevd::matrix::mem::peak_bytes();
+    drop(a);
+
+    let (_ctx, sink) = traced_pipeline(n, seed, sbr);
+    let traced = sink.counter("mem.peak_bytes");
+    assert!(traced > 0);
+    assert!(
+        untraced >= traced,
+        "untraced whole-run peak {untraced} below the traced run's {traced}"
+    );
+}
