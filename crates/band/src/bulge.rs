@@ -9,6 +9,12 @@
 //! `O(n²·b)` — the complexity the paper cites when discussing why the
 //! bandwidth cannot grow unboundedly.
 //!
+//! This is the only stage-2 kernel: every request, with or without
+//! eigenvectors, runs through it. It works in place on the dense band it
+//! is given (the n×n matrix SBR returns), so it allocates no second n×n
+//! buffer; only the optional `Q` is new. A caller that still needs the
+//! band afterwards passes a clone.
+//!
 //! Generic over [`Scalar`]: the f32 pipeline and the f64 reference use the
 //! same code.
 
@@ -29,26 +35,25 @@ pub struct BulgeResult<T: Scalar> {
 }
 
 /// Reduce a symmetric band matrix (dense storage, half-bandwidth `b`) to
-/// tridiagonal form by bulge chasing.
-pub fn bulge_chase<T: Scalar>(band: &Mat<T>, b: usize, accumulate_q: bool) -> BulgeResult<T> {
+/// tridiagonal form by bulge chasing, consuming `band` as the workspace.
+pub fn bulge_chase<T: Scalar>(band: Mat<T>, b: usize, accumulate_q: bool) -> BulgeResult<T> {
     bulge_chase_with(band, b, accumulate_q, &TraceSink::disabled())
 }
 
 /// [`bulge_chase`] with observability: emits a `bulge_chase` span and
 /// tallies `bulge_sweeps` / `bulge_reflectors` into `sink`.
 pub fn bulge_chase_with<T: Scalar>(
-    band: &Mat<T>,
+    mut a: Mat<T>,
     b: usize,
     accumulate_q: bool,
     sink: &TraceSink,
 ) -> BulgeResult<T> {
-    let n = band.rows();
-    assert!(band.is_square());
+    let n = a.rows();
+    assert!(a.is_square());
     assert!(b >= 1);
     let _span = span!(sink, "bulge_chase", n, b);
     // Stage-2 leading-term flop count (6n²b), matching the perfmodel.
     sink.add("kernel_flops.bulge", 6 * (n as u64) * (n as u64) * b as u64);
-    let mut a = band.clone();
     let mut q = accumulate_q.then(|| Mat::<T>::identity(n, n));
 
     if b > 1 && n > 2 {
@@ -131,15 +136,8 @@ pub fn bulge_chase_with<T: Scalar>(
     }
 
     let diag = (0..n).map(|i| a[(i, i)]).collect();
-    let offdiag = (0..n.saturating_sub(1))
-        .map(|i| {
-            if b == 1 || n <= 2 {
-                band[(i + 1, i)]
-            } else {
-                a[(i + 1, i)]
-            }
-        })
-        .collect();
+    // With `b == 1` or `n ≤ 2` no reflector ran and `a` is the input.
+    let offdiag = (0..n.saturating_sub(1)).map(|i| a[(i + 1, i)]).collect();
     BulgeResult { diag, offdiag, q }
 }
 
@@ -186,7 +184,7 @@ mod tests {
 
     fn check_chase(n: usize, b: usize, seed: u64) {
         let a = band_matrix(n, b, seed);
-        let r = bulge_chase(&a, b, true);
+        let r = bulge_chase(a.clone(), b, true);
         let q = r.q.as_ref().unwrap();
         assert!(
             orthogonality_residual(q.as_ref()) < 1e-12 * n as f64,
@@ -230,7 +228,7 @@ mod tests {
     #[test]
     fn already_tridiagonal_passthrough() {
         let a = band_matrix(10, 1, 9);
-        let r = bulge_chase(&a, 1, true);
+        let r = bulge_chase(a.clone(), 1, true);
         for i in 0..10 {
             assert_eq!(r.diag[i], a[(i, i)]);
             if i + 1 < 10 {
@@ -247,7 +245,7 @@ mod tests {
         // tr(T) = tr(B) and tr(T²) = tr(B²) under similarity.
         let n = 20;
         let a = band_matrix(n, 3, 10);
-        let r = bulge_chase(&a, 3, false);
+        let r = bulge_chase(a.clone(), 3, false);
         let tr_a: f64 = (0..n).map(|i| a[(i, i)]).sum();
         let tr_t: f64 = r.diag.iter().sum();
         assert!((tr_a - tr_t).abs() < 1e-12);
@@ -263,7 +261,7 @@ mod tests {
         for n in [1usize, 2, 3] {
             let a = band_matrix(n, (n.max(2)) - 1, 11 + n as u64);
             let b = (n.max(2)) - 1;
-            let r = bulge_chase(&a, b.max(1), true);
+            let r = bulge_chase(a, b.max(1), true);
             assert_eq!(r.diag.len(), n);
             assert_eq!(r.offdiag.len(), n.saturating_sub(1));
         }
@@ -273,7 +271,7 @@ mod tests {
     fn f32_band_chase() {
         let a64 = band_matrix(40, 6, 12);
         let a: Mat<f32> = a64.cast();
-        let r = bulge_chase(&a, 6, true);
+        let r = bulge_chase(a, 6, true);
         let q = r.q.as_ref().unwrap();
         assert!(orthogonality_residual(q.as_ref()) < 1e-4);
     }

@@ -4,7 +4,7 @@
 //! name the pipeline-wide `EvdError`; instead it reports its own
 //! [`BandError`], which core absorbs via `From<BandError> for EvdError`.
 
-/// Error from the SBR entry points ([`crate::sbr_wy`] / [`crate::sbr_zy`]).
+/// Error from the SBR entry points ([`crate::sbr_wy()`] / [`crate::sbr_zy()`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BandError {
     /// SBR needs a square symmetric matrix.

@@ -28,7 +28,6 @@
 #![deny(clippy::unwrap_used)]
 
 pub mod bulge;
-pub mod bulge_packed;
 pub mod common;
 pub mod error;
 pub mod formw;
@@ -37,11 +36,9 @@ mod qupdate;
 pub mod sbr_dbr;
 pub mod sbr_wy;
 pub mod sbr_zy;
-pub mod storage;
 pub mod trace_model;
 
 pub use bulge::{bulge_chase, bulge_chase_with, BulgeResult};
-pub use bulge_packed::{bulge_chase_packed, bulge_chase_packed_with};
 pub use common::{max_outside_band, SbrOptions, SbrResult};
 pub use error::BandError;
 pub use formw::{apply_q, form_wy};
@@ -49,7 +46,6 @@ pub use panel::{factor_panel, factor_panel_with, FactoredPanel, PanelKind};
 pub use sbr_dbr::{sbr_dbr, DbrOptions};
 pub use sbr_wy::{sbr_wy, LevelWy, WyOptions, WySbrResult};
 pub use sbr_zy::sbr_zy;
-pub use storage::SymBand;
 pub use trace_model::{
     dbr_trace, dbr_trace_on, formw_trace, formw_trace_on, wy_trace, wy_trace_on, zy_trace,
     zy_trace_on, PanelOp, SbrTrace,

@@ -4,7 +4,7 @@
 //! every reflector right-multiplies all `n` rows of Q, for `O(n³)` total
 //! versus the chase's own `O(n²·b)` band work. Forking the pool per
 //! reflector would drown in spawn overhead (each application is only
-//! `≈4·n·b` flops), so the chase loops instead record one outer
+//! `≈4·n·b` flops), so the chase loop instead records one outer
 //! iteration's reflectors and batch-apply them here, fanning **disjoint
 //! row blocks** of Q across the pool — roughly `4·n²` flops per flush,
 //! enough to amortize a handful of scoped spawns.

@@ -3,7 +3,7 @@
 //! width `nb` from the bandwidth `b`.
 //!
 //! The panel factorizations and inner next-panel updates are exactly the
-//! WY recursion of [`crate::sbr_wy`] — `nb`-column blocks accumulate an
+//! WY recursion of [`crate::sbr_wy()`] — `nb`-column blocks accumulate an
 //! aggregated `(W, Y)` while zeroing columns only down to bandwidth `b`.
 //! The difference is the once-per-block trailing update. WY expands
 //!
@@ -65,7 +65,7 @@ impl Default for DbrOptions {
 /// Reduce symmetric `a` to band form with the detached band reduction.
 ///
 /// Produces the same WY-style per-level `(W, Y)` factors as
-/// [`crate::sbr_wy`] (the back-transformation is shared), differing only in
+/// [`crate::sbr_wy()`] (the back-transformation is shared), differing only in
 /// how the trailing matrix is updated. Returns [`crate::BandError`] (rather
 /// than panicking) on a non-square input, a zero bandwidth, or non-finite
 /// entries.

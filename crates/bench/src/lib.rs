@@ -1083,7 +1083,7 @@ pub fn formw_numeric_check(n: usize) -> String {
         "FormW numeric check (n = {n}): max |Q_formw − Q_acc| = {diff:.2e}"
     );
     // feed the band through stage 2 so the whole chain is exercised
-    let chase = bulge_chase(&r.band, b, false);
+    let chase = bulge_chase(r.band, b, false);
     let _ = writeln!(
         out,
         "  band → tridiagonal: {} diagonal entries",

@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the pipeline's tridiagonal solvers,
 //! plus the translator that arms a declarative
-//! [`FaultPlan`](tcevd_testmat::FaultPlan) across every layer.
+//! [`tcevd_testmat::FaultPlan`] across every layer.
 //!
 //! The hooks are thread-local one-shot (or counted) switches consumed at
 //! the pipeline's solver seam — *not* inside `dc`/`ql` themselves, so the

@@ -1,5 +1,5 @@
 //! Block Lanczos iteration for dominant eigenpairs — the paper's related
-//! work [40] (randomized block Lanczos, "proven efficient … especially on
+//! work \[40\] (randomized block Lanczos, "proven efficient … especially on
 //! modern high-performance architectures") and its future-work note that
 //! "iterative methods on GPU will also be considered".
 //!

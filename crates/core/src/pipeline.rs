@@ -36,8 +36,8 @@ use crate::ql::{
 };
 use crate::tridiag::SymTridiag;
 use tcevd_band::{
-    bulge_chase_packed_with, bulge_chase_with, form_wy, sbr_dbr, sbr_wy, sbr_zy, DbrOptions,
-    PanelKind, SbrOptions, WyOptions,
+    bulge_chase_with, form_wy, sbr_dbr, sbr_wy, sbr_zy, DbrOptions, PanelKind, SbrOptions,
+    WyOptions,
 };
 use tcevd_matrix::{Mat, Op};
 use tcevd_tensorcore::GemmContext;
@@ -563,8 +563,8 @@ fn check_cancelled(ctx: &GemmContext, stage: EvdStage) -> Result<(), EvdError> {
 
 /// One pass of the two-stage pipeline for `spectrum` (the verification
 /// rung re-runs it with the other tridiagonal solver). Each n×n buffer is
-/// dropped at its last use: the dense band after the chase (or after
-/// packing, without vectors), Q₂ and Z after Q₂·Z.
+/// dropped at its last use: the dense band inside the in-place chase,
+/// Q₂ and Z after Q₂·Z.
 fn run_pipeline(
     a: &Mat<f32>,
     b: usize,
@@ -634,20 +634,13 @@ fn run_pipeline(
     ensure_finite(band.as_slice(), EvdStage::Sbr)?;
     check_cancelled(ctx, EvdStage::Sbr)?;
 
-    // Stage 2: bulge chasing to tridiagonal. Eigenvectors need Q₂, which
-    // the dense chase accumulates; without them the packed chase runs in
-    // an O(n·b) working set.
+    // Stage 2: bulge chasing to tridiagonal, in place on the band, which
+    // is moved in and freed with the chase. Eigenvectors also need Q₂,
+    // which the chase accumulates; the values-only chase allocates no n×n
+    // buffer.
     let (t, q2) = {
         let _stage = tcevd_prof::StageScope::begin(sink, "bulge_chase");
-        let chase = if vectors {
-            let chase = bulge_chase_with(&band, b, true, sink);
-            drop(band);
-            chase
-        } else {
-            let packed = tcevd_band::SymBand::from_dense(&band, b);
-            drop(band);
-            bulge_chase_packed_with(&packed, false, sink)
-        };
+        let chase = bulge_chase_with(band, b, vectors, sink);
         (SymTridiag::new(chase.diag, chase.offdiag), chase.q)
     };
     ensure_finite(&t.d, EvdStage::BulgeChase)?;

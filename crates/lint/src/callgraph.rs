@@ -163,7 +163,7 @@ impl Graph {
     /// * `Type::m(…)` → methods of exactly that owner (empty when the type
     ///   is not implemented in the workspace);
     /// * `self.m(…)` → methods of the enclosing impl's owner;
-    /// * `name.m(…)` with a declared/inferred type or a [`name_hint`] → the
+    /// * `name.m(…)` with a declared/inferred type or a `name_hint` → the
     ///   candidate types' methods; a candidate set that matches nothing in
     ///   the workspace resolves to nothing (external types stay external);
     /// * `name.m(…)` with no candidates, and opaque receivers (`expr).m`)

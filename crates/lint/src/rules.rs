@@ -547,7 +547,6 @@ pub const R9_FILES: &[&str] = &[
     "crates/band/src/sbr_wy.rs",
     "crates/band/src/sbr_zy.rs",
     "crates/band/src/bulge.rs",
-    "crates/band/src/bulge_packed.rs",
     "crates/core/src/pipeline.rs",
     "crates/serve/",
 ];

@@ -439,7 +439,7 @@ fn syr2k_split(n: usize, k: usize) -> Option<usize> {
 /// the TC engine it must be issued as two full outer-product GEMMs.
 ///
 /// Recursive reshaping: while the output dimension `n` is large relative to
-/// the rank `k`, `C` is split at a [`syr2k_split`] midpoint into two
+/// the rank `k`, `C` is split at a `syr2k_split` midpoint into two
 /// triangular recursive calls plus one full off-diagonal block computed as
 /// two *near-square* packed GEMMs (`A_lo·B_hiᵀ` then `B_lo·A_hiᵀ`). That
 /// feeds the big trailing updates of the detached band reduction to the

@@ -18,7 +18,7 @@
 //!   the GEMM shape tracing that feeds the performance model.
 //! * [`labels`] — the closed registry of GEMM step labels that tracing,
 //!   fault plans, and the sanitizer key on (enforced by `tcevd-lint`).
-//! * [`sanitize`] (feature `sanitize`) — runtime numerical sanitizer: scans
+//! * `sanitize` (feature `sanitize`) — runtime numerical sanitizer: scans
 //!   GEMM operands/outputs for NaN/±∞ and f16-overflow magnitudes and
 //!   attributes the first violation to the step label that produced it.
 //! * [`cancel`] — cooperative [`CancelToken`]s the service layer

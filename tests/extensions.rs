@@ -1,8 +1,8 @@
 //! Integration tests for the beyond-the-paper extensions: Jacobi
-//! cross-check, mixed-precision refinement, packed stage-2, selected
-//! eigenpairs, native TC syr2k, TF32 engine, and failure injection.
+//! cross-check, mixed-precision refinement, the values-only stage chain,
+//! selected eigenpairs, native TC syr2k, TF32 engine, and failure injection.
 
-use tcevd::band::{bulge_chase, bulge_chase_packed, sbr_wy, PanelKind, SymBand, WyOptions};
+use tcevd::band::{bulge_chase, sbr_wy, PanelKind, WyOptions};
 use tcevd::evd::{
     jacobi_eig, refine_eigenvalues_rayleigh, sym_eig, sym_eig_selected, sym_eigenvalues,
     sym_eigenvalues_ref, EigRange, SbrVariant, SymEigOptions, TridiagSolver,
@@ -65,15 +65,14 @@ fn rayleigh_refinement_recovers_digits_end_to_end() {
 }
 
 #[test]
-fn packed_and_dense_stage2_agree_inside_pipeline() {
-    // the eigenvalues-only pipeline (packed chase) vs explicit dense chase
+fn values_only_pipeline_is_the_manual_stage_chain_bitwise() {
+    // sym_eigenvalues runs exactly sbr_wy → bulge_chase → tridiag_eig_dc
     let n = 96;
     let a64 = generate(n, MatrixType::Geo { cond: 1e2 }, 303);
     let a: Mat<f32> = a64.cast();
     let ctx = GemmContext::new(Engine::Sgemm);
     let vals_pipeline = sym_eigenvalues(&a, &opts(8, 32, false), &ctx).unwrap();
 
-    // manual: same SBR, dense chase, same solver
     let r = sbr_wy(
         &a,
         &WyOptions {
@@ -85,42 +84,34 @@ fn packed_and_dense_stage2_agree_inside_pipeline() {
         &ctx,
     )
     .expect("sbr reduction");
-    let chase = bulge_chase(&r.band, 8, false);
+    let chase = bulge_chase(r.band, 8, false);
     let t = tcevd::evd::SymTridiag::new(chase.diag, chase.offdiag);
     let vals_manual = tcevd::evd::tridiag_eig_dc(&t).unwrap().0;
-    for (a, b) in vals_pipeline.iter().zip(vals_manual.iter()) {
-        assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-    }
+    assert_eq!(vals_pipeline, vals_manual);
 }
 
 #[test]
-fn packed_chase_on_tc_band_output() {
-    // the packed chase consumes real SBR output, not just synthetic bands
-    let n = 64;
-    let a: Mat<f32> = generate(n, MatrixType::Normal, 304).cast();
-    let ctx = GemmContext::new(Engine::Tc);
-    let r = sbr_wy(
-        &a,
-        &WyOptions {
-            bandwidth: 8,
-            block: 16,
-            panel: PanelKind::Tsqr,
-            accumulate_q: false,
-        },
-        &ctx,
-    )
-    .expect("sbr reduction");
-    let packed = SymBand::from_dense(&r.band, 8);
-    let rp = bulge_chase_packed(&packed, false);
-    let rd = bulge_chase(&r.band, 8, false);
-    // both chases are valid orthogonal similarities; in f32 their entries
-    // drift apart by roundoff, so compare the invariant — the spectrum
-    let tp = tcevd::evd::SymTridiag::new(rp.diag, rp.offdiag);
-    let td = tcevd::evd::SymTridiag::new(rd.diag, rd.offdiag);
-    let vp = tcevd::evd::tridiag_eigenvalues(&tp).unwrap();
-    let vd = tcevd::evd::tridiag_eigenvalues(&td).unwrap();
-    for (a, b) in vp.iter().zip(vd.iter()) {
-        assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+fn values_only_matches_full_spectrum_values_bitwise() {
+    // One chase serves both requests, so dropping the vectors must not
+    // change a single bit of the eigenvalues (D&C computes the same values
+    // either way; QL's value-only sweep is different code and is left out).
+    let n = 96;
+    let a: Mat<f32> = generate(n, MatrixType::Normal, 306).cast();
+    for engine in [Engine::Sgemm, Engine::Tc] {
+        let ctx = GemmContext::new(engine);
+        for sbr in [
+            SbrVariant::Wy { block: 32 },
+            SbrVariant::Dbr { block: 32 },
+            SbrVariant::Zy,
+        ] {
+            let o = |vectors| SymEigOptions {
+                sbr,
+                ..opts(8, 32, vectors)
+            };
+            let values = sym_eigenvalues(&a, &o(false), &ctx).unwrap();
+            let full = sym_eig(&a, &o(true), &ctx).unwrap();
+            assert_eq!(values, full.values, "{engine:?}/{sbr:?}");
+        }
     }
 }
 
