@@ -128,6 +128,7 @@ mod tests {
     use tcevd_matrix::norms::orthogonality_residual;
     use tcevd_tensorcore::Engine;
     use tcevd_testmat::{generate, MatrixType};
+    use tcevd_trace::TraceSink;
 
     #[test]
     fn formw_reproduces_accumulated_q() {
@@ -207,7 +208,7 @@ mod tests {
     fn merge_gemm_shapes_double_up_the_tree() {
         let n = 128;
         let a: Mat<f32> = generate(n, MatrixType::Normal, 24).cast();
-        let ctx = GemmContext::new(Engine::Tc).with_trace();
+        let ctx = GemmContext::new(Engine::Tc);
         let opts = WyOptions {
             bandwidth: 8,
             block: 16,
@@ -215,9 +216,10 @@ mod tests {
             accumulate_q: false,
         };
         let r = sbr_wy(&a, &opts, &ctx).expect("sbr reduction");
-        let _ = ctx.take_trace();
+        let sink = TraceSink::enabled();
+        let ctx = GemmContext::new(Engine::Tc).with_sink(sink.clone());
         let _ = form_wy(&r.levels, n, &ctx);
-        let tr = ctx.take_trace();
+        let tr = sink.gemms();
         let ks: Vec<usize> = tr
             .iter()
             .filter(|r| r.label == "formw_w")

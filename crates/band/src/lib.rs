@@ -47,6 +47,5 @@ pub use sbr_dbr::{sbr_dbr, DbrOptions};
 pub use sbr_wy::{sbr_wy, LevelWy, WyOptions, WySbrResult};
 pub use sbr_zy::sbr_zy;
 pub use trace_model::{
-    dbr_trace, dbr_trace_on, formw_trace, formw_trace_on, wy_trace, wy_trace_on, zy_trace,
-    zy_trace_on, PanelOp, SbrTrace,
+    dbr_trace, dbr_trace_on, formw_trace, wy_trace, zy_trace, zy_trace_on, PanelOp, SbrTrace,
 };

@@ -336,6 +336,7 @@ mod tests {
     use tcevd_matrix::norms::{frobenius, orthogonality_residual};
     use tcevd_tensorcore::Engine;
     use tcevd_testmat::{generate, MatrixType};
+    use tcevd_trace::TraceSink;
 
     fn test_matrix(n: usize, seed: u64) -> Mat<f32> {
         generate(n, MatrixType::Normal, seed).cast()
@@ -480,9 +481,10 @@ mod tests {
         // syr2k record at k = nb on a native-syr2k engine, versus WY's four
         // rectangular GEMMs.
         let a = test_matrix(128, 8);
-        let ctx = GemmContext::new(Engine::Sgemm).with_trace();
+        let sink = TraceSink::enabled();
+        let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
         let _ = sbr_dbr(&a, &opts(8, 32, false), &ctx).expect("sbr reduction");
-        let tr = ctx.take_trace();
+        let tr = sink.gemms();
         let syr2k: Vec<_> = tr.iter().filter(|r| r.label == "dbr_syr2k").collect();
         assert!(!syr2k.is_empty());
         let max_k = syr2k.iter().map(|r| r.k).max().unwrap();
@@ -499,9 +501,11 @@ mod tests {
         // The folded syr2k formulation does ~half the trailing arithmetic
         // of WY's four-GEMM expansion at the same (n, b, nb).
         let a = test_matrix(160, 9);
-        let ctx_dbr = GemmContext::new(Engine::Sgemm).with_trace();
+        let sink_dbr = TraceSink::enabled();
+        let ctx_dbr = GemmContext::new(Engine::Sgemm).with_sink(sink_dbr.clone());
         let _ = sbr_dbr(&a, &opts(8, 32, false), &ctx_dbr).expect("dbr");
-        let ctx_wy = GemmContext::new(Engine::Sgemm).with_trace();
+        let sink_wy = TraceSink::enabled();
+        let ctx_wy = GemmContext::new(Engine::Sgemm).with_sink(sink_wy.clone());
         let _ = sbr_wy(
             &a,
             &WyOptions {
@@ -519,8 +523,8 @@ mod tests {
                 .map(|r| r.flops())
                 .sum()
         };
-        let dbr_tr = ctx_dbr.take_trace();
-        let wy_tr = ctx_wy.take_trace();
+        let dbr_tr = sink_dbr.gemms();
+        let wy_tr = sink_wy.gemms();
         let f_dbr = trailing(&dbr_tr, "dbr_final_") + trailing(&dbr_tr, "dbr_syr2k");
         let f_wy = trailing(&wy_tr, "wy_final_");
         assert!(

@@ -386,6 +386,7 @@ mod tests {
     use tcevd_matrix::norms::{frobenius, orthogonality_residual};
     use tcevd_tensorcore::Engine;
     use tcevd_testmat::{generate, MatrixType};
+    use tcevd_trace::TraceSink;
 
     fn test_matrix(n: usize, seed: u64) -> Mat<f32> {
         generate(n, MatrixType::Normal, seed).cast()
@@ -501,9 +502,10 @@ mod tests {
     fn inner_gemms_have_squeezed_shapes() {
         // With nb = 4b, aggregated inner dimension must reach nb.
         let a = test_matrix(128, 8);
-        let ctx = GemmContext::new(Engine::Tc).with_trace();
+        let sink = TraceSink::enabled();
+        let ctx = GemmContext::new(Engine::Tc).with_sink(sink.clone());
         let _ = sbr_wy(&a, &opts(8, 32, false), &ctx).expect("sbr reduction");
-        let tr = ctx.take_trace();
+        let tr = sink.gemms();
         // the big trailing updates (the syr2k replacement) run at k = nb
         let max_k_final = tr
             .iter()
@@ -526,9 +528,11 @@ mod tests {
     fn trace_flops_exceed_zy() {
         // Table 2: WY does more arithmetic than ZY at the same bandwidth.
         let a = test_matrix(128, 9);
-        let ctx_wy = GemmContext::new(Engine::Tc).with_trace();
+        let sink_wy = TraceSink::enabled();
+        let ctx_wy = GemmContext::new(Engine::Tc).with_sink(sink_wy.clone());
         let _ = sbr_wy(&a, &opts(8, 32, false), &ctx_wy).expect("sbr reduction");
-        let ctx_zy = GemmContext::new(Engine::Tc).with_trace();
+        let sink_zy = TraceSink::enabled();
+        let ctx_zy = GemmContext::new(Engine::Tc).with_sink(sink_zy.clone());
         let _ = sbr_zy(
             &a,
             &SbrOptions {
@@ -539,8 +543,9 @@ mod tests {
             &ctx_zy,
         )
         .expect("sbr reduction");
-        let f_wy = ctx_wy.total_flops();
-        let f_zy = ctx_zy.total_flops();
+        let flops = |sink: &TraceSink| sink.gemms().iter().map(|r| r.flops()).sum::<u64>();
+        let f_wy = flops(&sink_wy);
+        let f_zy = flops(&sink_zy);
         assert!(f_wy > f_zy, "WY {f_wy} should exceed ZY {f_zy}");
     }
 

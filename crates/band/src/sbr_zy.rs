@@ -129,6 +129,7 @@ mod tests {
     use tcevd_matrix::norms::{frobenius, orthogonality_residual};
     use tcevd_tensorcore::Engine;
     use tcevd_testmat::{generate, MatrixType};
+    use tcevd_trace::TraceSink;
 
     fn test_matrix(n: usize, seed: u64) -> Mat<f32> {
         generate(n, MatrixType::Normal, seed).cast()
@@ -261,9 +262,10 @@ mod tests {
             panel: PanelKind::Tsqr,
             accumulate_q: false,
         };
-        let ctx = GemmContext::new(Engine::Tc).with_trace();
+        let sink = TraceSink::enabled();
+        let ctx = GemmContext::new(Engine::Tc).with_sink(sink.clone());
         let _ = sbr_zy(&a, &opts, &ctx).expect("sbr reduction");
-        let tr = ctx.take_trace();
+        let tr = sink.gemms();
         assert!(!tr.is_empty());
         // every ZY trailing-update GEMM has inner dimension ≤ b
         for rec in tr.iter().filter(|r| r.label.starts_with("zy_syr2k")) {

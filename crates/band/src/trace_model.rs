@@ -41,14 +41,8 @@ impl SbrTrace {
     }
 }
 
-fn rec_on(engine: Engine, label: &'static str, m: usize, n: usize, k: usize) -> GemmRecord {
-    GemmRecord {
-        m,
-        n,
-        k,
-        engine,
-        label,
-    }
+fn rec(label: &'static str, m: usize, n: usize, k: usize) -> GemmRecord {
+    GemmRecord { label, m, n, k }
 }
 
 /// GEMM/panel trace of the ZY-based SBR (mirrors [`crate::sbr_zy::sbr_zy`]
@@ -57,14 +51,14 @@ pub fn zy_trace(n: usize, b: usize) -> SbrTrace {
     zy_trace_on(n, b, Engine::Tc)
 }
 
-/// Engine-faithful ZY trace: records carry `engine`, and the rank-2k
-/// trailing update takes the form that engine actually executes —
+/// Engine-faithful ZY trace: the rank-2k trailing update takes the form
+/// that `engine` actually executes —
 /// [`Engine::Sgemm`] issues one native `syr2k` record of shape
 /// `(mp, mp, kf)` (half the flops), the Tensor-Core engines two full
 /// outer-product GEMMs (no native syr2k; the paper's §4.1 observation).
 /// Matches the instrumented real runs of
 /// [`GemmContext::syr2k_update`](tcevd_tensorcore::GemmContext::syr2k_update)
-/// record for record, engine included.
+/// record for record.
 pub fn zy_trace_on(n: usize, b: usize, engine: Engine) -> SbrTrace {
     let native_syr2k = matches!(engine, Engine::Sgemm);
     let mut t = SbrTrace::default();
@@ -73,12 +67,12 @@ pub fn zy_trace_on(n: usize, b: usize, engine: Engine) -> SbrTrace {
         let mp = n - i - b;
         let kf = mp.min(b);
         t.panels.push(PanelOp { rows: mp, cols: b });
-        t.gemms.push(rec_on(engine, "zy_aw", mp, kf, mp));
-        t.gemms.push(rec_on(engine, "zy_waw", kf, kf, mp));
-        t.gemms.push(rec_on(engine, "zy_z", mp, kf, kf));
-        t.gemms.push(rec_on(engine, "zy_syr2k", mp, mp, kf));
+        t.gemms.push(rec("zy_aw", mp, kf, mp));
+        t.gemms.push(rec("zy_waw", kf, kf, mp));
+        t.gemms.push(rec("zy_z", mp, kf, kf));
+        t.gemms.push(rec("zy_syr2k", mp, mp, kf));
         if !native_syr2k {
-            t.gemms.push(rec_on(engine, "zy_syr2k", mp, mp, kf));
+            t.gemms.push(rec("zy_syr2k", mp, mp, kf));
         }
         i += b;
     }
@@ -86,16 +80,9 @@ pub fn zy_trace_on(n: usize, b: usize, engine: Engine) -> SbrTrace {
 }
 
 /// GEMM/panel trace of the WY-based SBR (mirrors [`crate::sbr_wy::sbr_wy`]
-/// without Q accumulation) on the default Tensor-Core engine.
+/// without Q accumulation). The WY algorithm issues no rank-2k updates,
+/// so the shape sequence is the same on every engine.
 pub fn wy_trace(n: usize, b: usize, block: usize) -> SbrTrace {
-    wy_trace_on(n, b, block, Engine::Tc)
-}
-
-/// Engine-faithful WY trace ([`wy_trace`] with records carrying `engine`).
-/// The WY algorithm issues no rank-2k updates, so the shape sequence is
-/// engine-independent; only the recorded engine differs.
-pub fn wy_trace_on(n: usize, b: usize, block: usize, engine: Engine) -> SbrTrace {
-    let rec = |label, m, n, k| rec_on(engine, label, m, n, k);
     let nb = (block / b).max(1) * b;
     let mut t = SbrTrace::default();
     let mut off = 0;
@@ -153,7 +140,6 @@ pub fn dbr_trace(n: usize, b: usize, block: usize) -> SbrTrace {
 /// [`GemmContext::syr2k_update`](tcevd_tensorcore::GemmContext::syr2k_update)
 /// record for record).
 pub fn dbr_trace_on(n: usize, b: usize, block: usize, engine: Engine) -> SbrTrace {
-    let rec = |label, m, n, k| rec_on(engine, label, m, n, k);
     let native_syr2k = matches!(engine, Engine::Sgemm);
     let nb = (block / b).max(1) * b;
     let mut t = SbrTrace::default();
@@ -200,22 +186,10 @@ pub fn dbr_trace_on(n: usize, b: usize, block: usize, engine: Engine) -> SbrTrac
 
 /// Trace of the recursive FormW merge tree (paper Algorithm 2) over the
 /// level widths a WY run with these parameters produces, plus the final
-/// back-transformation GEMMs onto an n×nev eigenvector block, on the
-/// default Tensor-Core engine.
+/// back-transformation GEMMs onto an n×nev eigenvector block. FormW
+/// issues no rank-2k updates, so the shape sequence is the same on every
+/// engine.
 pub fn formw_trace(n: usize, b: usize, block: usize, nev: usize) -> Vec<GemmRecord> {
-    formw_trace_on(n, b, block, nev, Engine::Tc)
-}
-
-/// Engine-faithful FormW trace ([`formw_trace`] with records carrying
-/// `engine`).
-pub fn formw_trace_on(
-    n: usize,
-    b: usize,
-    block: usize,
-    nev: usize,
-    engine: Engine,
-) -> Vec<GemmRecord> {
-    let rec = |label, m, n, k| rec_on(engine, label, m, n, k);
     let nb = (block / b).max(1) * b;
     // level widths: mirror wy_trace's per-level aggregated k
     let mut widths = Vec::new();
@@ -237,7 +211,7 @@ pub fn formw_trace_on(
         off += i;
     }
     let mut out = Vec::new();
-    merge_rec(&widths, n, engine, &mut out);
+    merge_rec(&widths, n, &mut out);
     let ktot: usize = widths.iter().sum();
     if nev > 0 {
         out.push(rec("backtransform_ytv", ktot, nev, n));
@@ -246,15 +220,15 @@ pub fn formw_trace_on(
     out
 }
 
-fn merge_rec(widths: &[usize], n: usize, engine: Engine, out: &mut Vec<GemmRecord>) -> usize {
+fn merge_rec(widths: &[usize], n: usize, out: &mut Vec<GemmRecord>) -> usize {
     if widths.len() <= 1 {
         return widths.iter().sum();
     }
     let half = widths.len() / 2;
-    let ka = merge_rec(&widths[..half], n, engine, out);
-    let kb = merge_rec(&widths[half..], n, engine, out);
-    out.push(rec_on(engine, "formw_ytw", ka, kb, n));
-    out.push(rec_on(engine, "formw_w", n, kb, ka));
+    let ka = merge_rec(&widths[..half], n, out);
+    let kb = merge_rec(&widths[half..], n, out);
+    out.push(rec("formw_ytw", ka, kb, n));
+    out.push(rec("formw_w", n, kb, ka));
     ka + kb
 }
 
@@ -269,10 +243,7 @@ mod tests {
     use tcevd_matrix::Mat;
     use tcevd_tensorcore::GemmContext;
     use tcevd_testmat::{generate, MatrixType};
-
-    fn shapes(v: &[GemmRecord]) -> Vec<(&'static str, usize, usize, usize)> {
-        v.iter().map(|r| (r.label, r.m, r.n, r.k)).collect()
-    }
+    use tcevd_trace::TraceSink;
 
     #[test]
     fn model_labels_are_all_registered() {
@@ -298,7 +269,8 @@ mod tests {
     fn zy_model_matches_real_trace() {
         for (n, b) in [(96, 8), (70, 8), (64, 16), (30, 4)] {
             let a: Mat<f32> = generate(n, MatrixType::Normal, 31).cast();
-            let ctx = GemmContext::new(Engine::Tc).with_trace();
+            let sink = TraceSink::enabled();
+            let ctx = GemmContext::new(Engine::Tc).with_sink(sink.clone());
             let _ = sbr_zy(
                 &a,
                 &SbrOptions {
@@ -309,9 +281,9 @@ mod tests {
                 &ctx,
             )
             .expect("sbr reduction");
-            let real = ctx.take_trace();
+            let real = sink.gemms();
             let model = zy_trace(n, b);
-            assert_eq!(shapes(&real), shapes(&model.gemms), "n={n} b={b}");
+            assert_eq!(real, model.gemms, "n={n} b={b}");
         }
     }
 
@@ -325,7 +297,8 @@ mod tests {
             (50, 4, 12),
         ] {
             let a: Mat<f32> = generate(n, MatrixType::Normal, 32).cast();
-            let ctx = GemmContext::new(Engine::Tc).with_trace();
+            let sink = TraceSink::enabled();
+            let ctx = GemmContext::new(Engine::Tc).with_sink(sink.clone());
             let _ = sbr_wy(
                 &a,
                 &WyOptions {
@@ -337,9 +310,9 @@ mod tests {
                 &ctx,
             )
             .expect("sbr reduction");
-            let real = ctx.take_trace();
+            let real = sink.gemms();
             let model = wy_trace(n, b, nb);
-            assert_eq!(shapes(&real), shapes(&model.gemms), "n={n} b={b} nb={nb}");
+            assert_eq!(real, model.gemms, "n={n} b={b} nb={nb}");
         }
     }
 
@@ -354,7 +327,8 @@ mod tests {
             (50, 4, 12),
         ] {
             let a: Mat<f32> = generate(n, MatrixType::Normal, 36).cast();
-            let ctx = GemmContext::new(Engine::Tc).with_trace();
+            let sink = TraceSink::enabled();
+            let ctx = GemmContext::new(Engine::Tc).with_sink(sink.clone());
             let _ = sbr_dbr(
                 &a,
                 &DbrOptions {
@@ -366,21 +340,22 @@ mod tests {
                 &ctx,
             )
             .expect("sbr reduction");
-            let real = ctx.take_trace();
+            let real = sink.gemms();
             let model = dbr_trace(n, b, nb);
-            assert_eq!(shapes(&real), shapes(&model.gemms), "n={n} b={b} nb={nb}");
+            assert_eq!(real, model.gemms, "n={n} b={b} nb={nb}");
         }
     }
 
     #[test]
     fn dbr_model_engine_matches_real_trace_exactly() {
-        // Full-record equality (engine included): on Sgemm the trailing
-        // syr2k is one native record, on the TC engines two full GEMMs.
+        // Per-engine shapes: on Sgemm the trailing syr2k is one native
+        // record, on the TC engines two full GEMMs.
         use crate::sbr_dbr::{sbr_dbr, DbrOptions};
         for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
             let (n, b, nb) = (96, 8, 32);
             let a: Mat<f32> = generate(n, MatrixType::Normal, 37).cast();
-            let ctx = GemmContext::new(engine).with_trace();
+            let sink = TraceSink::enabled();
+            let ctx = GemmContext::new(engine).with_sink(sink.clone());
             let _ = sbr_dbr(
                 &a,
                 &DbrOptions {
@@ -392,7 +367,7 @@ mod tests {
                 &ctx,
             )
             .expect("sbr reduction");
-            let real = ctx.take_trace();
+            let real = sink.gemms();
             let model = dbr_trace_on(n, b, nb, engine);
             assert_eq!(real, model.gemms, "engine {engine:?}");
         }
@@ -420,7 +395,7 @@ mod tests {
     fn formw_model_matches_real_trace() {
         let (n, b, nb) = (96, 8, 16);
         let a: Mat<f32> = generate(n, MatrixType::Normal, 33).cast();
-        let ctx = GemmContext::new(Engine::Tc).with_trace();
+        let ctx = GemmContext::new(Engine::Tc);
         let r = sbr_wy(
             &a,
             &WyOptions {
@@ -432,27 +407,26 @@ mod tests {
             &ctx,
         )
         .expect("sbr reduction");
-        let _ = ctx.take_trace();
+        let sink = TraceSink::enabled();
+        let ctx = GemmContext::new(Engine::Tc).with_sink(sink.clone());
         let _ = crate::formw::form_wy(&r.levels, n, &ctx);
-        let real = ctx.take_trace();
-        let model = formw_trace(n, b, nb, 0);
+        let mut real = sink.gemms();
+        let mut model = formw_trace(n, b, nb, 0);
         // rayon::join may interleave subtree traces; compare as multisets
-        let mut s1 = shapes(&real);
-        let mut s2 = shapes(&model);
-        s1.sort_unstable();
-        s2.sort_unstable();
-        assert_eq!(s1, s2);
+        real.sort_unstable();
+        model.sort_unstable();
+        assert_eq!(real, model);
     }
 
     #[test]
     fn zy_model_engine_matches_real_trace_exactly() {
-        // Full-record equality (engine included): the model must record the
-        // engine the run actually used, and on Sgemm the single native
+        // Per-engine shapes: on Sgemm the model must emit the single native
         // syr2k record the real path emits.
         for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
             let (n, b) = (64, 8);
             let a: Mat<f32> = generate(n, MatrixType::Normal, 34).cast();
-            let ctx = GemmContext::new(engine).with_trace();
+            let sink = TraceSink::enabled();
+            let ctx = GemmContext::new(engine).with_sink(sink.clone());
             let _ = sbr_zy(
                 &a,
                 &SbrOptions {
@@ -463,7 +437,7 @@ mod tests {
                 &ctx,
             )
             .expect("sbr reduction");
-            let real = ctx.take_trace();
+            let real = sink.gemms();
             let model = zy_trace_on(n, b, engine);
             assert_eq!(real, model.gemms, "engine {engine:?}");
         }
@@ -489,7 +463,8 @@ mod tests {
     fn wy_model_engine_matches_real_trace_exactly() {
         let (n, b, nb) = (64, 8, 16);
         let a: Mat<f32> = generate(n, MatrixType::Normal, 35).cast();
-        let ctx = GemmContext::new(Engine::Sgemm).with_trace();
+        let sink = TraceSink::enabled();
+        let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
         let _ = sbr_wy(
             &a,
             &WyOptions {
@@ -501,8 +476,8 @@ mod tests {
             &ctx,
         )
         .expect("sbr reduction");
-        let real = ctx.take_trace();
-        let model = wy_trace_on(n, b, nb, Engine::Sgemm);
+        let real = sink.gemms();
+        let model = wy_trace(n, b, nb);
         assert_eq!(real, model.gemms);
     }
 

@@ -283,18 +283,16 @@ pub fn formw_claim() -> String {
     while i + BANDWIDTH < n {
         let mp = n - i - BANDWIDTH;
         zy_recs.push(tcevd_tensorcore::GemmRecord {
+            label: "zy_back_ytv",
             m: BANDWIDTH.min(mp),
             n,
             k: mp,
-            engine: Engine::Tc,
-            label: "zy_back_ytv",
         });
         zy_recs.push(tcevd_tensorcore::GemmRecord {
+            label: "zy_back_wv",
             m: mp,
             n,
             k: BANDWIDTH.min(mp),
-            engine: Engine::Tc,
-            label: "zy_back_wv",
         });
         i += BANDWIDTH;
     }
@@ -442,16 +440,15 @@ pub struct TraceRun {
     pub chrome_json: String,
     /// Human-readable per-stage time/counter report.
     pub report: String,
-    /// GEMM flops tallied by the sink during the run.
-    pub sink_flops: u64,
-    /// GEMM flops tallied by the context's own accounting.
-    pub ctx_flops: u64,
+    /// Whether the summed flops and the length of the sink's GEMM log
+    /// equal its `gemm_flops` and `gemm_calls` counters.
+    pub log_matches_counters: bool,
 }
 
 /// Run the *real* two-stage EVD (with eigenvectors) at size `n` with the
 /// structured trace sink enabled, and return the exported artifacts plus
-/// the flop cross-check between the sink counters and
-/// [`GemmContext::total_flops`]. This backs `reproduce --trace=out.json`.
+/// the cross-check of the sink's GEMM log against its `gemm_flops` and
+/// `gemm_calls` counters. This backs `reproduce --trace=out.json`.
 pub fn trace_run(n: usize, seed: u64) -> TraceRun {
     let b = (n / 16).clamp(4, 32);
     let nb = 4 * b;
@@ -459,9 +456,7 @@ pub fn trace_run(n: usize, seed: u64) -> TraceRun {
     let a: Mat<f32> = a64.cast();
 
     let sink = tcevd_trace::TraceSink::enabled();
-    let ctx = GemmContext::new(Engine::Tc)
-        .with_trace()
-        .with_sink(sink.clone());
+    let ctx = GemmContext::new(Engine::Tc).with_sink(sink.clone());
     let opts = SymEigOptions {
         bandwidth: b,
         sbr: SbrVariant::Wy { block: nb },
@@ -474,8 +469,10 @@ pub fn trace_run(n: usize, seed: u64) -> TraceRun {
     };
     let r = sym_eig(&a, &opts, &ctx).expect("traced pipeline run");
 
-    let sink_flops = sink.counter("gemm_flops");
-    let ctx_flops = ctx.total_flops();
+    let log = sink.gemms();
+    let log_flops: u64 = log.iter().map(|r| r.flops()).sum();
+    let (sink_flops, sink_calls) = (sink.counter("gemm_flops"), sink.counter("gemm_calls"));
+    let log_matches_counters = log_flops == sink_flops && log.len() as u64 == sink_calls;
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -485,14 +482,14 @@ pub fn trace_run(n: usize, seed: u64) -> TraceRun {
     report.push_str(&sink.stage_report());
     let _ = writeln!(
         report,
-        "flop cross-check: sink gemm_flops = {sink_flops}, GemmContext::total_flops = {ctx_flops} ({})",
-        if sink_flops == ctx_flops { "match" } else { "MISMATCH" }
+        "flop cross-check: gemm_flops = {sink_flops}, gemm_calls = {sink_calls}; GEMM log {log_flops} flops in {} calls ({})",
+        log.len(),
+        if log_matches_counters { "match" } else { "MISMATCH" }
     );
     TraceRun {
         chrome_json: sink.chrome_trace_json(),
         report,
-        sink_flops,
-        ctx_flops,
+        log_matches_counters,
     }
 }
 

@@ -18,7 +18,7 @@
 //! the flop/byte/peak columns meaningful to diff across machines in CI.
 
 use std::fmt::Write as _;
-use tcevd_band::trace_model::wy_trace_on;
+use tcevd_band::trace_model::wy_trace;
 use tcevd_band::PanelKind;
 use tcevd_core::{sym_eig, SbrVariant, SymEigOptions, TridiagSolver};
 use tcevd_matrix::Mat;
@@ -54,8 +54,8 @@ fn stage_of(label: &str) -> Option<&'static str> {
 }
 
 /// Perfmodel A100 prediction for one stage of the profiled run, seconds.
-/// GEMM stages price the *actual* drained shape trace; the host stages use
-/// the model's stage-2 terms (bulge 6n²b, D&C ~n²).
+/// GEMM stages price the run's *actual* GEMM log; the host stages use the
+/// model's stage-2 terms (bulge 6n²b, D&C ~n²).
 fn model_stage_seconds(
     model: &A100Model,
     records: &[GemmRecord],
@@ -74,7 +74,7 @@ fn model_stage_seconds(
                 .sum();
             // Panel shapes come from the validated shape trace (the real
             // run records only a `panel_rows` histogram).
-            let panel_s: f64 = wy_trace_on(n, b, nb, engine)
+            let panel_s: f64 = wy_trace(n, b, nb)
                 .panels
                 .iter()
                 .map(|p| model.panel_time(p, PanelCost::Tsqr))
@@ -105,9 +105,7 @@ pub fn profile_run(n: usize, seed: u64) -> ProfileRun {
     let a: Mat<f32> = a64.cast();
 
     let sink = TraceSink::enabled();
-    let ctx = GemmContext::new(engine)
-        .with_trace()
-        .with_sink(sink.clone());
+    let ctx = GemmContext::new(engine).with_sink(sink.clone());
     let opts = SymEigOptions {
         bandwidth: b,
         sbr: SbrVariant::Wy { block: nb },
@@ -123,11 +121,11 @@ pub fn profile_run(n: usize, seed: u64) -> ProfileRun {
     let wall_s = t0.elapsed().as_secs_f64();
     assert_eq!(r.values.len(), n);
 
-    let records = ctx.take_trace();
+    let records = sink.gemms();
     let model = A100Model::default();
     let stages = tcevd_prof::stage_reports(&sink);
     let labels = tcevd_prof::label_reports(&sink);
-    let residual = tcevd_prof::model_residual(&model, &records, &sink);
+    let residual = tcevd_prof::model_residual(&model, engine, &sink);
     let roof = tcevd_prof::roofline(engine);
     let predicted_peak = wy_memory(n, b, nb).total();
 

@@ -129,8 +129,11 @@ pub struct SymEigOptions {
     /// Also form the eigenvector matrix `X` (back-transformation through
     /// both stages).
     pub vectors: bool,
-    /// Emit pipeline-stage spans and counters into the context's
-    /// [`TraceSink`] (see `GemmContext::with_sink`). A no-op — zero sink
+    /// Emit the pipeline's stage scopes, driver spans and pipeline-level
+    /// counters into the context's [`TraceSink`] (see
+    /// `GemmContext::with_sink`). The GEMM layer and the SBR kernels record
+    /// into an enabled context sink — the GEMM log and GEMM counters
+    /// included — whether or not this is set. A no-op — zero sink
     /// allocations — when the context sink is disabled.
     pub trace: bool,
     /// The failure-recovery ladder (see [`RecoveryPolicy`]).

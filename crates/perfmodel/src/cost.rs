@@ -179,11 +179,10 @@ mod tests {
 
     fn rec(m: usize, n: usize, k: usize) -> GemmRecord {
         GemmRecord {
+            label: "t",
             m,
             n,
             k,
-            engine: Engine::Tc,
-            label: "t",
         }
     }
 

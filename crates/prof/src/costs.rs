@@ -1,17 +1,18 @@
 //! Static flop/byte cost registry for every GEMM label and the non-GEMM
 //! kernels (panel factorization, bulge chasing).
 //!
-//! Flops are uniform across labels (the 2mnk multiply–add convention every
-//! [`GemmRecord`] already carries), so what the registry pins down per label
-//! is the *data-movement* convention: whether the call accumulates into its
+//! Flops are uniform across labels (the 2mnk multiply–add convention of
+//! [`GemmRecord::flops`]), so what the registry pins down per label is the
+//! *data-movement* convention: whether the call accumulates into its
 //! output (`beta ≠ 0`), which adds one m×n operand read to the bytes moved.
 //! The entries mirror, label for label, the runtime byte counters
-//! `GemmContext::note_gemm` tallies — `tests` cross-checks the two against a
-//! real traced run, and lint rule R6 enforces that every entry of
-//! `tensorcore::labels::GEMM_LABELS` has a registry entry (and that no
-//! entry is dead).
+//! `GemmContext::note_gemm` tallies: `tests/profile_attribution.rs` sums
+//! [`record_bytes`] over a real run's GEMM log (`TraceSink::gemms`) and
+//! checks it against those counters, and lint rule R6 enforces that every
+//! entry of `tensorcore::labels::GEMM_LABELS` has a registry entry (and
+//! that no entry is dead).
 //!
-//! [`GemmRecord`]: tcevd_tensorcore::GemmRecord
+//! [`GemmRecord::flops`]: tcevd_tensorcore::GemmRecord::flops
 
 use tcevd_tensorcore::GemmRecord;
 

@@ -120,6 +120,13 @@ impl Drop for StageScope {
     }
 }
 
+/// The matrix allocation watermark is process-global, and
+/// [`StageScope::begin`] on an enabled sink resets it: tests that open such
+/// a scope hold this lock, so a sibling's reset never lands inside another
+/// test's open scope.
+#[cfg(test)]
+static WATERMARK_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -129,6 +136,7 @@ mod tests {
 
     #[test]
     fn stage_scope_attributes_deltas_per_stage() {
+        let _serial = WATERMARK_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let sink = TraceSink::enabled();
         let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
         let a = Mat::<f32>::identity(6, 6);
@@ -189,6 +197,7 @@ mod tests {
 
     #[test]
     fn recovery_rerun_keeps_worst_case_peak_and_sums_flops() {
+        let _serial = WATERMARK_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let sink = TraceSink::enabled();
         let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
         let a = Mat::<f32>::identity(4, 4);

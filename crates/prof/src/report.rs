@@ -2,15 +2,15 @@
 //! per-label and per-stage achieved-GFLOPS tables, a roofline summary, and
 //! the model-residual join against `tcevd-perfmodel`'s A100 predictions.
 //!
-//! Everything here is a pure function of the counter snapshot (plus, for
-//! the residual join, the drained shape trace), so reports can be built
-//! after the run without having interposed on it.
+//! Everything here is a pure function of the sink's counters (plus, for
+//! the residual join, its GEMM log), so reports can be built after the run
+//! without having interposed on it.
 
 use std::collections::BTreeMap;
 
 use tcevd_perfmodel::rates;
 use tcevd_perfmodel::A100Model;
-use tcevd_tensorcore::{Engine, GemmRecord};
+use tcevd_tensorcore::Engine;
 use tcevd_trace::TraceSink;
 
 use crate::costs::intensity;
@@ -215,20 +215,16 @@ pub struct ResidualReport {
     pub ratio: f64,
 }
 
-/// Join the measured per-label dispatch times against the perfmodel's
-/// per-record A100 predictions. `records` is the drained shape trace of
-/// the same run that filled `sink`.
-pub fn model_residual(
-    model: &A100Model,
-    records: &[GemmRecord],
-    sink: &TraceSink,
-) -> Vec<ResidualReport> {
+/// Join the measured per-label dispatch times in `sink` against the
+/// perfmodel's A100 predictions for each record of its GEMM log, priced
+/// on `engine`.
+pub fn model_residual(model: &A100Model, engine: Engine, sink: &TraceSink) -> Vec<ResidualReport> {
     // per label: (flops, predicted_s, flops by class)
     let mut agg: BTreeMap<&'static str, (u64, f64, [u64; 2])> = BTreeMap::new();
-    for rec in records {
+    for rec in &sink.gemms() {
         let e = agg.entry(rec.label).or_insert((0, 0.0, [0, 0]));
         e.0 += rec.flops();
-        e.1 += model.gemm_time(rec, rec.engine);
+        e.1 += model.gemm_time(rec, engine);
         let (class, _) = rates::classify(rec.m, rec.n, rec.k);
         let slot = match class {
             rates::ShapeClass::Outer => 0,
@@ -283,11 +279,9 @@ mod tests {
     use tcevd_matrix::{Mat, Op};
     use tcevd_tensorcore::GemmContext;
 
-    fn traced_run() -> (GemmContext, TraceSink) {
+    fn traced_run() -> TraceSink {
         let sink = TraceSink::enabled();
-        let ctx = GemmContext::new(Engine::Sgemm)
-            .with_trace()
-            .with_sink(sink.clone());
+        let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
         let a = Mat::<f32>::from_fn(40, 24, |i, j| ((i * 7 + j) % 5) as f32 - 2.0);
         let b = Mat::<f32>::from_fn(24, 16, |i, j| ((i + 3 * j) % 7) as f32 - 3.0);
         let mut c = Mat::<f32>::zeros(40, 16);
@@ -311,12 +305,12 @@ mod tests {
             1.0,
             c.as_mut(),
         );
-        (ctx, sink)
+        sink
     }
 
     #[test]
     fn label_reports_read_the_counters() {
-        let (_ctx, sink) = traced_run();
+        let sink = traced_run();
         let rows = label_reports(&sink);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].label, "svd_av");
@@ -335,9 +329,8 @@ mod tests {
 
     #[test]
     fn residual_join_predicts_and_measures_every_label() {
-        let (ctx, sink) = traced_run();
-        let records = ctx.take_trace();
-        let rows = model_residual(&A100Model::default(), &records, &sink);
+        let sink = traced_run();
+        let rows = model_residual(&A100Model::default(), Engine::Sgemm, &sink);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.predicted_s > 0.0, "{}: no prediction", r.label);
@@ -354,7 +347,7 @@ mod tests {
 
     #[test]
     fn roofline_text_places_labels() {
-        let (_ctx, sink) = traced_run();
+        let sink = traced_run();
         let rows = label_reports(&sink);
         let text = roofline_text(Engine::Tc, &rows);
         assert!(text.contains("peak 140.85 TFLOPS"));
@@ -376,6 +369,9 @@ mod tests {
 
     #[test]
     fn stage_reports_read_stage_scopes() {
+        let _serial = crate::WATERMARK_SERIAL
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let sink = TraceSink::enabled();
         {
             let _s = crate::StageScope::begin(&sink, "sbr");

@@ -40,10 +40,11 @@ pub mod syr2k;
 pub use cancel::CancelToken;
 pub use ec::{ec_gemm, EcMode};
 pub use engine::tf32_gemm;
-pub use engine::{Engine, FaultMode, GemmContext, GemmFault, GemmRecord};
+pub use engine::{Engine, FaultMode, GemmContext, GemmFault};
 pub use gemm::{tc_gemm, tc_gemm_strict, truncate_f16};
 pub use labels::{is_registered, GEMM_LABELS};
 pub use mma::AccumMode;
 #[cfg(feature = "sanitize")]
 pub use sanitize::{SanitizeKind, SanitizeOperand, SanitizeReport};
 pub use syr2k::{syr2k_flops, tc_syr2k};
+pub use tcevd_trace::GemmRecord;

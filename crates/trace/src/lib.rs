@@ -10,6 +10,9 @@
 //! * **typed counters and histograms** — monotonic `u64` counters (GEMM
 //!   flops by shape class, panel count, bulge sweeps, D&C merges, bytes
 //!   moved) and power-of-two-bucketed histograms;
+//! * **a GEMM log** — one [`GemmRecord`] (step label and shape) per GEMM
+//!   call, in call order ([`TraceSink::gemms`]), which the performance
+//!   model replays through its per-shape rates;
 //! * **three exporters** — a human-readable stage report
 //!   ([`TraceSink::stage_report`]), Chrome `trace_event` JSON loadable in
 //!   Perfetto / `chrome://tracing` ([`TraceSink::chrome_trace_json`]), and
@@ -61,6 +64,24 @@ pub struct Event {
     /// Microseconds since the sink was created.
     pub ts_us: f64,
     pub ph: Phase,
+}
+
+/// One GEMM call as dispatched: the step label that issued it and its
+/// shape, C (m×n) += A (m×k) · B (k×n).
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct GemmRecord {
+    /// Which algorithm step issued the call (e.g. `"wy_final_u1"`).
+    pub label: &'static str,
+    pub m: usize,
+    pub n: usize,
+    pub k: usize,
+}
+
+impl GemmRecord {
+    /// Multiply–add flop count (2mnk convention).
+    pub fn flops(&self) -> u64 {
+        2 * self.m as u64 * self.n as u64 * self.k as u64
+    }
 }
 
 /// Power-of-two-bucketed histogram of `u64` samples.
@@ -121,6 +142,7 @@ struct Inner {
     events: Mutex<Vec<Event>>,
     counters: Mutex<BTreeMap<String, u64>>,
     hists: Mutex<BTreeMap<String, Histogram>>,
+    gemms: Mutex<Vec<GemmRecord>>,
     tids: Mutex<(HashMap<ThreadId, u32>, u32)>,
 }
 
@@ -185,6 +207,7 @@ impl TraceSink {
                 events: Mutex::new(Vec::new()),
                 counters: Mutex::new(BTreeMap::new()),
                 hists: Mutex::new(BTreeMap::new()),
+                gemms: Mutex::new(Vec::new()),
                 tids: Mutex::new((HashMap::new(), 0)),
             })),
         }
@@ -268,6 +291,22 @@ impl TraceSink {
                 g.insert(name.to_string(), h);
             }
         }
+    }
+
+    /// Append one GEMM call to the log.
+    pub fn log_gemm(&self, rec: GemmRecord) {
+        if let Some(inner) = &self.inner {
+            lock_or_recover(&inner.gemms).push(rec);
+        }
+    }
+
+    /// Snapshot of the GEMM log in call order (empty when disabled).
+    /// Calls issued from parallel regions land in completion order.
+    pub fn gemms(&self) -> Vec<GemmRecord> {
+        self.inner
+            .as_ref()
+            .map(|i| lock_or_recover(&i.gemms).clone())
+            .unwrap_or_default()
     }
 
     /// Current value of counter `name` (0 if absent or disabled).
@@ -651,8 +690,15 @@ mod tests {
             let _g = span!(sink, "sym_eig", n = 4096);
             sink.add("gemm_flops", 123);
             sink.record("panel_rows", 7);
+            sink.log_gemm(GemmRecord {
+                label: "x",
+                m: 1,
+                n: 1,
+                k: 1,
+            });
         }
         assert_eq!(sink.counter("gemm_flops"), 0);
+        assert!(sink.gemms().is_empty());
         assert!(sink.counters().is_empty());
         assert!(sink.histograms().is_empty());
         assert!(sink.events().is_empty());
@@ -716,6 +762,16 @@ mod tests {
         assert_eq!(h.buckets[0], 1); // the 0 sample
         assert_eq!(h.buckets[2], 1); // 3 ∈ [2, 4)
         assert_eq!(h.buckets[10], 1); // 1000 ∈ [512, 1024)
+    }
+
+    #[test]
+    fn gemm_log_keeps_call_order() {
+        let sink = TraceSink::enabled();
+        let rec = |label, m, n, k| GemmRecord { label, m, n, k };
+        sink.log_gemm(rec("b", 4, 5, 6));
+        sink.clone().log_gemm(rec("a", 1, 2, 3));
+        assert_eq!(sink.gemms(), [rec("b", 4, 5, 6), rec("a", 1, 2, 3)]);
+        assert_eq!(sink.gemms()[0].flops(), 2 * 4 * 5 * 6);
     }
 
     #[test]

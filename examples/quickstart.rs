@@ -11,6 +11,7 @@ use tcevd::evd::{sym_eig, SbrVariant, SymEigOptions, TridiagSolver};
 use tcevd::matrix::Mat;
 use tcevd::tensorcore::{Engine, GemmContext};
 use tcevd::testmat::{generate, MatrixType};
+use tcevd::trace::TraceSink;
 
 fn main() {
     let n = 256;
@@ -32,7 +33,9 @@ fn main() {
         recovery: Default::default(),
         threads: 0,
     };
-    let ctx = GemmContext::new(Engine::Tc).with_trace();
+    // An enabled sink logs every GEMM call's step label and shape.
+    let sink = TraceSink::enabled();
+    let ctx = GemmContext::new(Engine::Tc).with_sink(sink.clone());
 
     let t0 = std::time::Instant::now();
     let r = sym_eig(&a, &opts, &ctx).expect("EVD failed");
@@ -52,11 +55,11 @@ fn main() {
         eigenpair_residual(a.as_ref(), &r.values, x.as_ref())
     );
 
-    let trace = ctx.take_trace();
-    let flops: u64 = trace.iter().map(|t| t.flops()).sum();
+    let gemms = sink.gemms();
+    let flops: u64 = gemms.iter().map(|g| g.flops()).sum();
     println!(
         "GEMM calls through the Tensor-Core engine: {} ({:.2} Gflop)",
-        trace.len(),
+        gemms.len(),
         flops as f64 / 1e9
     );
 }

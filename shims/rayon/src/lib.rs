@@ -269,7 +269,9 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
 
-    // Pool configuration is process-global; serialize tests that touch it.
+    // Pool configuration and the `stats()` counters are process-global:
+    // every test that configures the pool or forks holds this lock, so no
+    // sibling's forks land between another test's `before` and `since`.
     static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
     fn with_threads<R>(t: usize, f: impl FnOnce() -> R) -> R {
@@ -282,6 +284,7 @@ mod tests {
 
     #[test]
     fn join_returns_both_results_in_order() {
+        let _g = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut log = Vec::new();
         let (a, b) = super::join(|| 1 + 1, || 2 + 2);
         log.push(a);

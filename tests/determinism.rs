@@ -6,8 +6,8 @@
 //! The counter contract now includes the performance-attribution layer:
 //! per-label flop/byte tallies, per-stage `stage.*` deltas, and the
 //! `mem.peak_bytes` allocation watermarks must all be bit-identical at any
-//! worker-pool size. Only `par.*` (pool telemetry) and `time.*` (wall
-//! clock) legitimately vary.
+//! worker-pool size, and so must the GEMM log up to call order. Only
+//! `par.*` (pool telemetry) and `time.*` (wall clock) legitimately vary.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use tcevd::band::PanelKind;
 use tcevd::evd::{sym_eig, SbrVariant, SymEigOptions, TridiagSolver};
 use tcevd::matrix::Mat;
-use tcevd::tensorcore::{Engine, GemmContext};
+use tcevd::tensorcore::{Engine, GemmContext, GemmRecord};
 use tcevd::testmat::{generate, MatrixType};
 use tcevd::trace::TraceSink;
 
@@ -52,10 +52,11 @@ fn run(seed: u64, engine: Engine) -> (Vec<f32>, Vec<f32>) {
 }
 
 /// A fully traced run at an explicit worker-pool size. Returns the spectrum,
-/// the eigenvectors, and the sink's counter totals with the `par.*` pool
+/// the eigenvectors, the sink's counter totals with the `par.*` pool
 /// telemetry and `time.*` wall-clock counters stripped (pool counters
 /// legitimately depend on the thread count and wall time on the machine;
-/// everything else must not).
+/// everything else must not), and the GEMM log sorted by
+/// `(label, m, n, k)` (parallel regions may log in any order).
 fn run_with_threads(
     seed: u64,
     n: usize,
@@ -63,7 +64,7 @@ fn run_with_threads(
     sbr: SbrVariant,
     panel: PanelKind,
     solver: TridiagSolver,
-) -> (Vec<f32>, Vec<f32>, BTreeMap<String, u64>) {
+) -> (Vec<f32>, Vec<f32>, BTreeMap<String, u64>, Vec<GemmRecord>) {
     let _serial = RUN_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let a: Mat<f32> = generate(n, MatrixType::Normal, seed).cast();
     let sink = TraceSink::enabled();
@@ -88,15 +89,17 @@ fn run_with_threads(
         .into_iter()
         .filter(|(k, _)| !k.starts_with("par.") && !k.starts_with("time."))
         .collect();
+    let mut gemms = sink.gemms();
+    gemms.sort_unstable();
     // untracked copy — see `run`
     let x = r.vectors.unwrap().as_slice().to_vec();
-    (r.values, x, counters)
+    (r.values, x, counters, gemms)
 }
 
 /// Run one configuration at 1 worker and at 4 workers and demand bitwise
-/// agreement on everything observable: eigenvalues, eigenvectors, and the
+/// agreement on everything observable: eigenvalues, eigenvectors, the
 /// trace counter totals — including the attribution layer's flop/byte/
-/// peak-memory counters.
+/// peak-memory counters — and the sorted GEMM log.
 fn assert_thread_invariant(
     seed: u64,
     n: usize,
@@ -104,8 +107,8 @@ fn assert_thread_invariant(
     panel: PanelKind,
     solver: TridiagSolver,
 ) {
-    let (v1, x1, c1) = run_with_threads(seed, n, 1, sbr, panel, solver);
-    let (v4, x4, c4) = run_with_threads(seed, n, 4, sbr, panel, solver);
+    let (v1, x1, c1, g1) = run_with_threads(seed, n, 1, sbr, panel, solver);
+    let (v4, x4, c4, g4) = run_with_threads(seed, n, 4, sbr, panel, solver);
     let tag = format!("{sbr:?}/{panel:?}/{solver:?} n={n}");
     assert_eq!(v1, v4, "{tag}: eigenvalues must not depend on thread count");
     assert_eq!(
@@ -115,6 +118,11 @@ fn assert_thread_invariant(
     assert_eq!(
         c1, c4,
         "{tag}: trace counter totals must not depend on thread count"
+    );
+    assert!(!g1.is_empty(), "{tag}: empty GEMM log");
+    assert_eq!(
+        g1, g4,
+        "{tag}: the GEMM log must not depend on thread count"
     );
     // The attribution counters are present and meaningful, not just equal:
     // both SBR paths move flops and bytes through every stage and record a

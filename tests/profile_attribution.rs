@@ -6,6 +6,7 @@
 //! and the `bench compare` regression gate accepts identity and rejects a
 //! synthetic slowdown.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use tcevd::band::PanelKind;
@@ -20,12 +21,10 @@ use tcevd::trace::TraceSink;
 /// inflated by a sibling test's buffers.
 static RUN_SERIAL: Mutex<()> = Mutex::new(());
 
-fn traced_pipeline(n: usize, seed: u64, sbr: SbrVariant) -> (GemmContext, TraceSink) {
+fn traced_pipeline(n: usize, seed: u64, sbr: SbrVariant, engine: Engine) -> TraceSink {
     let a: Mat<f32> = generate(n, MatrixType::Normal, seed).cast();
     let sink = TraceSink::enabled();
-    let ctx = GemmContext::new(Engine::Tc)
-        .with_trace()
-        .with_sink(sink.clone());
+    let ctx = GemmContext::new(engine).with_sink(sink.clone());
     let r = sym_eig(
         &a,
         &SymEigOptions {
@@ -42,35 +41,64 @@ fn traced_pipeline(n: usize, seed: u64, sbr: SbrVariant) -> (GemmContext, TraceS
     )
     .expect("traced pipeline run");
     assert_eq!(r.values.len(), n);
-    (ctx, sink)
+    sink
 }
 
 /// The static `GEMM_COSTS` registry must reproduce, record by record, the
 /// byte totals `GemmContext::note_gemm` tallied at runtime — same formula,
 /// same per-label accumulation convention (lint R6 pins coverage; this
-/// pins accuracy).
+/// pins accuracy). The sink's GEMM log must agree with its call and flop
+/// counters, in total and per label.
 #[test]
 fn cost_registry_matches_runtime_byte_counters() {
     let _serial = RUN_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    for sbr in [SbrVariant::Wy { block: 32 }, SbrVariant::Zy] {
-        let (ctx, sink) = traced_pipeline(96, 11, sbr);
-        let records = ctx.take_trace();
-        assert!(!records.is_empty());
-        let registry_bytes: u64 = records
-            .iter()
-            .map(|rec| {
-                tcevd::prof::record_bytes(rec)
-                    .unwrap_or_else(|| panic!("unregistered label {}", rec.label))
-            })
-            .sum();
-        assert_eq!(
-            registry_bytes,
-            sink.counter("gemm_bytes"),
-            "{sbr:?}: registry byte model diverges from runtime tally"
-        );
-        let registry_flops: u64 = records.iter().map(|r| r.flops()).sum();
-        assert_eq!(registry_flops, sink.counter("gemm_flops"));
+    let variants = [
+        SbrVariant::Wy { block: 32 },
+        SbrVariant::Zy,
+        SbrVariant::Dbr { block: 32 },
+    ];
+    for engine in [Engine::Sgemm, Engine::Tc] {
+        for sbr in variants {
+            check_log_against_counters(&traced_pipeline(96, 11, sbr, engine), sbr, engine);
+        }
     }
+}
+
+fn check_log_against_counters(sink: &TraceSink, sbr: SbrVariant, engine: Engine) {
+    let records = sink.gemms();
+    assert!(!records.is_empty());
+    let registry_bytes: u64 = records
+        .iter()
+        .map(|rec| {
+            tcevd::prof::record_bytes(rec)
+                .unwrap_or_else(|| panic!("unregistered label {}", rec.label))
+        })
+        .sum();
+    let tag = format!("{sbr:?}/{engine:?}");
+    assert_eq!(
+        registry_bytes,
+        sink.counter("gemm_bytes"),
+        "{tag}: registry byte model diverges from runtime tally"
+    );
+    let registry_flops: u64 = records.iter().map(|r| r.flops()).sum();
+    assert_eq!(registry_flops, sink.counter("gemm_flops"), "{tag}");
+    assert_eq!(
+        records.len() as u64,
+        sink.counter("gemm_calls"),
+        "{tag}: GEMM log length vs gemm_calls"
+    );
+    let mut logged: BTreeMap<String, u64> = BTreeMap::new();
+    for rec in &records {
+        *logged
+            .entry(format!("gemm_calls.{}", rec.label))
+            .or_default() += 1;
+    }
+    let counted: BTreeMap<String, u64> = sink
+        .counters()
+        .into_iter()
+        .filter(|(k, _)| k.starts_with("gemm_calls."))
+        .collect();
+    assert_eq!(logged, counted, "{tag}: per-label GEMM log counts");
 }
 
 /// Stage scopes partition the run's GEMM work: per-stage flop/byte/call
@@ -79,7 +107,7 @@ fn cost_registry_matches_runtime_byte_counters() {
 #[test]
 fn stage_deltas_partition_the_run() {
     let _serial = RUN_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (_ctx, sink) = traced_pipeline(96, 5, SbrVariant::Wy { block: 32 });
+    let sink = traced_pipeline(96, 5, SbrVariant::Wy { block: 32 }, Engine::Tc);
     let stages = tcevd::prof::stage_reports(&sink);
     let names: Vec<&str> = stages.iter().map(|s| s.stage.as_str()).collect();
     assert_eq!(
@@ -119,7 +147,7 @@ fn stage_deltas_partition_the_run() {
 fn peak_memory_is_consistent_with_the_model() {
     let _serial = RUN_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (n, b, nb) = (96usize, 8usize, 32usize);
-    let (_ctx, sink) = traced_pipeline(n, 3, SbrVariant::Wy { block: nb });
+    let sink = traced_pipeline(n, 3, SbrVariant::Wy { block: nb }, Engine::Tc);
     let peak = sink.counter("mem.peak_bytes");
     let predicted = tcevd::perfmodel::wy_memory(n, b, nb).total();
     let nn = 4 * (n as u64) * (n as u64);
@@ -207,7 +235,7 @@ fn untraced_run_keeps_the_whole_run_watermark() {
     let untraced = tcevd::matrix::mem::peak_bytes();
     drop(a);
 
-    let (_ctx, sink) = traced_pipeline(n, seed, sbr);
+    let sink = traced_pipeline(n, seed, sbr, Engine::Tc);
     let traced = sink.counter("mem.peak_bytes");
     assert!(traced > 0);
     assert!(

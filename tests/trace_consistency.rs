@@ -5,111 +5,69 @@
 
 use tcevd::band::form_wy;
 use tcevd::band::{
-    formw_trace, sbr_wy, sbr_zy, wy_trace, wy_trace_on, zy_trace, zy_trace_on, PanelKind,
-    SbrOptions, WyOptions,
+    formw_trace, sbr_wy, sbr_zy, wy_trace, zy_trace, zy_trace_on, PanelKind, SbrOptions, WyOptions,
+    WySbrResult,
 };
 use tcevd::matrix::Mat;
 use tcevd::perfmodel::{sbr_cost, A100Model, SbrConfig};
-use tcevd::tensorcore::{Engine, GemmContext};
+use tcevd::tensorcore::{Engine, GemmContext, GemmRecord};
 use tcevd::testmat::{generate, MatrixType};
+use tcevd::trace::TraceSink;
+
+/// Run `f` on a fresh `engine` context with an enabled sink and return the
+/// sink's GEMM log.
+fn gemm_log(engine: Engine, f: impl FnOnce(&GemmContext)) -> Vec<GemmRecord> {
+    let sink = TraceSink::enabled();
+    f(&GemmContext::new(engine).with_sink(sink.clone()));
+    sink.gemms()
+}
+
+fn run_wy(a: &Mat<f32>, b: usize, nb: usize, ctx: &GemmContext) -> WySbrResult {
+    let opts = WyOptions {
+        bandwidth: b,
+        block: nb,
+        panel: PanelKind::Tsqr,
+        accumulate_q: false,
+    };
+    sbr_wy(a, &opts, ctx).expect("sbr reduction")
+}
+
+fn run_zy(a: &Mat<f32>, b: usize, ctx: &GemmContext) {
+    let opts = SbrOptions {
+        bandwidth: b,
+        panel: PanelKind::Tsqr,
+        accumulate_q: false,
+    };
+    sbr_zy(a, &opts, ctx).expect("sbr reduction");
+}
 
 #[test]
 fn real_and_model_traces_agree_across_configs() {
     for (n, b, nb) in [(120usize, 8usize, 16usize), (96, 12, 24), (150, 10, 40)] {
         let a: Mat<f32> = generate(n, MatrixType::Normal, 5).cast();
-
-        let ctx = GemmContext::new(Engine::Tc).with_trace();
-        let _ = sbr_wy(
-            &a,
-            &WyOptions {
-                bandwidth: b,
-                block: nb,
-                panel: PanelKind::Tsqr,
-                accumulate_q: false,
-            },
-            &ctx,
-        )
-        .expect("sbr reduction");
-        let real: Vec<_> = ctx
-            .take_trace()
-            .iter()
-            .map(|r| (r.label, r.m, r.n, r.k))
-            .collect();
-        let model: Vec<_> = wy_trace(n, b, nb)
-            .gemms
-            .iter()
-            .map(|r| (r.label, r.m, r.n, r.k))
-            .collect();
-        assert_eq!(real, model, "WY n={n} b={b} nb={nb}");
-
-        let ctx = GemmContext::new(Engine::Tc).with_trace();
-        let _ = sbr_zy(
-            &a,
-            &SbrOptions {
-                bandwidth: b,
-                panel: PanelKind::Tsqr,
-                accumulate_q: false,
-            },
-            &ctx,
-        )
-        .expect("sbr reduction");
-        let real: Vec<_> = ctx
-            .take_trace()
-            .iter()
-            .map(|r| (r.label, r.m, r.n, r.k))
-            .collect();
-        let model: Vec<_> = zy_trace(n, b)
-            .gemms
-            .iter()
-            .map(|r| (r.label, r.m, r.n, r.k))
-            .collect();
-        assert_eq!(real, model, "ZY n={n} b={b}");
+        let real = gemm_log(Engine::Tc, |ctx| {
+            run_wy(&a, b, nb, ctx);
+        });
+        assert_eq!(real, wy_trace(n, b, nb).gemms, "WY n={n} b={b} nb={nb}");
+        let real = gemm_log(Engine::Tc, |ctx| run_zy(&a, b, ctx));
+        assert_eq!(real, zy_trace(n, b).gemms, "ZY n={n} b={b}");
     }
 }
 
 #[test]
 fn real_and_model_engine_fields_agree() {
-    // The model traces must record the engine the context actually
-    // dispatches — full GemmRecord equality, engine field included. This
-    // covers the Sgemm path's native-syr2k shape (one record, half flops)
-    // vs the Tensor-Core decomposition (two outer products).
+    // The model traces must emit the shapes each engine actually
+    // dispatches: the Sgemm path's native-syr2k shape (one record, half
+    // flops) vs the Tensor-Core decomposition (two outer products).
     let (n, b, nb) = (96usize, 8usize, 16usize);
     let a: Mat<f32> = generate(n, MatrixType::Normal, 9).cast();
     for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
-        let ctx = GemmContext::new(engine).with_trace();
-        let _ = sbr_zy(
-            &a,
-            &SbrOptions {
-                bandwidth: b,
-                panel: PanelKind::Tsqr,
-                accumulate_q: false,
-            },
-            &ctx,
-        )
-        .expect("sbr reduction");
-        assert_eq!(
-            ctx.take_trace(),
-            zy_trace_on(n, b, engine).gemms,
-            "ZY {engine:?}"
-        );
-
-        let ctx = GemmContext::new(engine).with_trace();
-        let _ = sbr_wy(
-            &a,
-            &WyOptions {
-                bandwidth: b,
-                block: nb,
-                panel: PanelKind::Tsqr,
-                accumulate_q: false,
-            },
-            &ctx,
-        )
-        .expect("sbr reduction");
-        assert_eq!(
-            ctx.take_trace(),
-            wy_trace_on(n, b, nb, engine).gemms,
-            "WY {engine:?}"
-        );
+        let real = gemm_log(engine, |ctx| run_zy(&a, b, ctx));
+        assert_eq!(real, zy_trace_on(n, b, engine).gemms, "ZY {engine:?}");
+        let real = gemm_log(engine, |ctx| {
+            run_wy(&a, b, nb, ctx);
+        });
+        assert_eq!(real, wy_trace(n, b, nb).gemms, "WY {engine:?}");
     }
 }
 
@@ -117,29 +75,12 @@ fn real_and_model_engine_fields_agree() {
 fn formw_trace_matches_real_merge_tree() {
     let (n, b, nb) = (144usize, 8, 16);
     let a: Mat<f32> = generate(n, MatrixType::Uniform, 6).cast();
-    let ctx = GemmContext::new(Engine::Tc).with_trace();
-    let r = sbr_wy(
-        &a,
-        &WyOptions {
-            bandwidth: b,
-            block: nb,
-            panel: PanelKind::Tsqr,
-            accumulate_q: false,
-        },
-        &ctx,
-    )
-    .expect("sbr reduction");
-    let _ = ctx.take_trace();
-    let _ = form_wy(&r.levels, n, &ctx);
-    let mut real: Vec<_> = ctx
-        .take_trace()
-        .iter()
-        .map(|r| (r.label, r.m, r.n, r.k))
-        .collect();
-    let mut model: Vec<_> = formw_trace(n, b, nb, 0)
-        .iter()
-        .map(|r| (r.label, r.m, r.n, r.k))
-        .collect();
+    let r = run_wy(&a, b, nb, &GemmContext::new(Engine::Tc));
+    let mut real = gemm_log(Engine::Tc, |ctx| {
+        form_wy(&r.levels, n, ctx);
+    });
+    let mut model = formw_trace(n, b, nb, 0);
+    // rayon::join may interleave subtree records; compare as multisets
     real.sort_unstable();
     model.sort_unstable();
     assert_eq!(real, model);
