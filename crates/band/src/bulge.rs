@@ -12,40 +12,43 @@
 //! This is the only stage-2 kernel: every request, with or without
 //! eigenvectors, runs through it. It works in place on the dense band it
 //! is given (the n×n matrix SBR returns), so it allocates no second n×n
-//! buffer; only the optional `Q` is new. A caller that still needs the
-//! band afterwards passes a clone.
+//! buffer. For eigenvectors it records its reflectors
+//! ([`ChaseReflectors`], at most n²/2 values) instead of forming Q₂; the
+//! back-transform applies them straight to the tridiagonal eigenvectors.
+//! A caller that still needs the band afterwards passes a clone.
 //!
 //! Generic over [`Scalar`]: the f32 pipeline and the f64 reference use the
 //! same code.
 
-use crate::qupdate::{apply_pending_to_q, batching_pays_off, PendingReflector, Q_FLUSH_REFLECTORS};
+pub use crate::qupdate::ChaseReflectors;
 use tcevd_factor::householder::{apply_reflector_left, apply_reflector_right, larfg};
 use tcevd_matrix::scalar::Scalar;
 use tcevd_matrix::Mat;
 use tcevd_trace::{span, TraceSink};
 
-/// Result of a band→tridiagonal reduction: `B = Q·T·Qᵀ`.
+/// Result of a band→tridiagonal reduction: `B = Q₂·T·Q₂ᵀ`.
 pub struct BulgeResult<T: Scalar> {
     /// Diagonal of `T` (length n).
     pub diag: Vec<T>,
     /// Sub-diagonal of `T` (length n−1).
     pub offdiag: Vec<T>,
-    /// Accumulated orthogonal factor (if requested).
-    pub q: Option<Mat<T>>,
+    /// The reflectors whose product is Q₂ (if requested).
+    pub reflectors: Option<ChaseReflectors<T>>,
 }
 
 /// Reduce a symmetric band matrix (dense storage, half-bandwidth `b`) to
 /// tridiagonal form by bulge chasing, consuming `band` as the workspace.
-pub fn bulge_chase<T: Scalar>(band: Mat<T>, b: usize, accumulate_q: bool) -> BulgeResult<T> {
-    bulge_chase_with(band, b, accumulate_q, &TraceSink::disabled())
+pub fn bulge_chase<T: Scalar>(band: Mat<T>, b: usize, record_reflectors: bool) -> BulgeResult<T> {
+    bulge_chase_with(band, b, record_reflectors, &TraceSink::disabled())
 }
 
-/// [`bulge_chase`] with observability: emits a `bulge_chase` span and
-/// tallies `bulge_sweeps` / `bulge_reflectors` into `sink`.
+/// [`bulge_chase`] with observability: emits a `bulge_chase` span, tallies
+/// `bulge_sweeps` / `bulge_reflectors` into `sink`, and adds the chase's
+/// flops to `kernel_flops.bulge` and the `kernel_flops` total.
 pub fn bulge_chase_with<T: Scalar>(
     mut a: Mat<T>,
     b: usize,
-    accumulate_q: bool,
+    record_reflectors: bool,
     sink: &TraceSink,
 ) -> BulgeResult<T> {
     let n = a.rows();
@@ -53,18 +56,13 @@ pub fn bulge_chase_with<T: Scalar>(
     assert!(b >= 1);
     let _span = span!(sink, "bulge_chase", n, b);
     // Stage-2 leading-term flop count (6n²b), matching the perfmodel.
-    sink.add("kernel_flops.bulge", 6 * (n as u64) * (n as u64) * b as u64);
-    let mut q = accumulate_q.then(|| Mat::<T>::identity(n, n));
+    let flops = 6 * (n as u64) * (n as u64) * b as u64;
+    sink.add("kernel_flops.bulge", flops);
+    sink.add("kernel_flops", flops);
+    let mut reflectors = record_reflectors.then(|| ChaseReflectors::for_chase(n, b));
 
     if b > 1 && n > 2 {
         let mut v = vec![T::ZERO; b + 1];
-        // Q accumulation is the chase's O(n³) term (the band work is only
-        // O(n²·b)), so each sweep records its reflectors and batch-applies
-        // them to disjoint row blocks of Q in parallel — see
-        // `crate::qupdate` for the bit-exactness argument. Both paths
-        // produce identical bits, so the gate never affects results.
-        let par_q = q.is_some() && batching_pays_off(n);
-        let mut pending: Vec<PendingReflector<T>> = Vec::new();
         for j in 0..n - 2 {
             sink.add("bulge_sweeps", 1);
             // Chase the fill-in of column j down the band.
@@ -91,16 +89,8 @@ pub fn bulge_chase_with<T: Scalar>(
                     let wh = (e + b).min(n);
                     apply_reflector_left(tau, &v[..len], a.view_mut(s, wl, len, wh - wl));
                     apply_reflector_right(tau, &v[..len], a.view_mut(wl, s, wh - wl, len));
-                    if let Some(q) = q.as_mut() {
-                        if par_q {
-                            pending.push(PendingReflector {
-                                s,
-                                tau,
-                                v: v[..len].to_vec(),
-                            });
-                        } else {
-                            apply_reflector_right(tau, &v[..len], q.view_mut(0, s, n, len));
-                        }
+                    if let Some(r) = reflectors.as_mut() {
+                        r.push(s, tau, &v[..len]);
                     }
                 }
 
@@ -118,27 +108,17 @@ pub fn bulge_chase_with<T: Scalar>(
                     break;
                 }
             }
-            // Reflectors only ever append to Q's product, so batches can
-            // span sweeps; flush once enough work has accumulated to
-            // amortize the fan-out (order is preserved, bits unchanged).
-            if pending.len() >= Q_FLUSH_REFLECTORS {
-                if let Some(q) = q.as_mut() {
-                    apply_pending_to_q(q, &pending);
-                }
-                pending.clear();
-            }
-        }
-        if !pending.is_empty() {
-            if let Some(q) = q.as_mut() {
-                apply_pending_to_q(q, &pending);
-            }
         }
     }
 
     let diag = (0..n).map(|i| a[(i, i)]).collect();
     // With `b == 1` or `n ≤ 2` no reflector ran and `a` is the input.
     let offdiag = (0..n.saturating_sub(1)).map(|i| a[(i + 1, i)]).collect();
-    BulgeResult { diag, offdiag, q }
+    BulgeResult {
+        diag,
+        offdiag,
+        reflectors,
+    }
 }
 
 #[cfg(test)]
@@ -182,10 +162,21 @@ mod tests {
         t
     }
 
+    /// Q₂ formed explicitly: the recorded reflectors applied to I in chase
+    /// order (`Q ← Q·H_i`).
+    fn form_q<T: Scalar>(r: &ChaseReflectors<T>) -> Mat<T> {
+        let n = r.n();
+        let mut q = Mat::<T>::identity(n, n);
+        for (s, tau, v) in r.iter() {
+            apply_reflector_right(tau, v, q.view_mut(0, s, n, v.len()));
+        }
+        q
+    }
+
     fn check_chase(n: usize, b: usize, seed: u64) {
         let a = band_matrix(n, b, seed);
         let r = bulge_chase(a.clone(), b, true);
-        let q = r.q.as_ref().unwrap();
+        let q = form_q(r.reflectors.as_ref().unwrap());
         assert!(
             orthogonality_residual(q.as_ref()) < 1e-12 * n as f64,
             "Q not orthogonal at n={n} b={b}"
@@ -235,9 +226,10 @@ mod tests {
                 assert_eq!(r.offdiag[i], a[(i + 1, i)]);
             }
         }
-        // Q must be identity
-        let q = r.q.unwrap();
-        assert_eq!(q.max_abs_diff(&Mat::identity(10, 10)), 0.0);
+        // No reflector: Q must be the identity.
+        let refl = r.reflectors.unwrap();
+        assert!(refl.is_empty());
+        assert_eq!(form_q(&refl).max_abs_diff(&Mat::identity(10, 10)), 0.0);
     }
 
     #[test]
@@ -272,7 +264,64 @@ mod tests {
         let a64 = band_matrix(40, 6, 12);
         let a: Mat<f32> = a64.cast();
         let r = bulge_chase(a, 6, true);
-        let q = r.q.as_ref().unwrap();
+        let q = form_q(r.reflectors.as_ref().unwrap());
         assert!(orthogonality_residual(q.as_ref()) < 1e-4);
+    }
+
+    fn rand_block(n: usize, m: usize, seed: u64) -> Mat<f64> {
+        let mut s = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(5);
+        Mat::from_fn(n, m, |_, _| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        })
+    }
+
+    /// The recorded reflectors applied to Z equal the explicit Q₂·Z.
+    #[test]
+    fn applied_reflectors_match_explicit_q() {
+        for (n, b, m) in [
+            (37, 5, 4),    // n not a multiple of b
+            (33, 4, 1),    // a single vector
+            (24, 10, 24),  // m = n
+            (10, 9, 3),    // b = n − 1: the matrix is dense
+            (12, 11, 12),  // b = n − 1, m = n
+            (20, 3, 0),    // an empty range
+            (300, 7, 300), // tall enough for the row-parallel path
+        ] {
+            let a = band_matrix(n, b, 40 + n as u64);
+            let r = bulge_chase(a, b, true);
+            let refl = r.reflectors.unwrap();
+            assert!(!refl.is_empty(), "n={n} b={b}");
+            let z = rand_block(n, m, 7 + m as u64);
+            let want = matmul(form_q(&refl).as_ref(), Op::NoTrans, z.as_ref(), Op::NoTrans);
+            let x = refl.apply(z, &TraceSink::disabled());
+            assert_eq!((x.rows(), x.cols()), (n, m));
+            let err = x.max_abs_diff(&want);
+            assert!(err < 1e-13, "|X − Q₂·Z| = {err} at n={n} b={b} m={m}");
+        }
+    }
+
+    /// With no reflector (`b = 1`, or `n ≤ 2`) the application returns Z
+    /// bit for bit.
+    #[test]
+    fn no_reflectors_leave_z_bitwise() {
+        for (n, b, m) in [
+            (10, 1, 3),
+            (10, 1, 10),
+            (10, 1, 0),
+            (1, 1, 1),
+            (2, 1, 2),
+            (2, 1, 0),
+        ] {
+            let a = band_matrix(n, b, 60 + n as u64);
+            let r = bulge_chase(a, b, true);
+            let refl = r.reflectors.unwrap();
+            assert!(refl.is_empty());
+            let z = rand_block(n, m, 9);
+            let x = refl.apply(z.clone(), &TraceSink::disabled());
+            assert_eq!(x.as_slice(), z.as_slice(), "n={n} b={b} m={m}");
+        }
     }
 }

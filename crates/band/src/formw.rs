@@ -12,9 +12,14 @@
 //! recursively over halves, so the merge GEMMs have inner dimension that
 //! doubles up the tree — 'squeezed' shapes again, which is why the paper
 //! measures the WY back-transformation at 320 ms vs 420 ms for ZY (§4.4).
+//!
+//! [`form_wy`] is kept as the reproduction of that figure. The eigensolver
+//! pipeline does not merge: it applies the levels one at a time in reverse
+//! order through [`apply_q`] on a row view (as LAPACK `ormtr` does), which
+//! builds no n×n pair and costs fewer flops than merging and applying.
 
 use crate::sbr_wy::LevelWy;
-use tcevd_matrix::{Mat, MatRef, Op};
+use tcevd_matrix::{Mat, MatMut, MatRef, Op};
 use tcevd_tensorcore::GemmContext;
 use tcevd_trace::span;
 
@@ -91,10 +96,12 @@ fn merge(
     (w, y)
 }
 
-/// Apply `Q_total = I − W·Yᵀ` to a matrix from the left:
-/// `V ← V − W·(Yᵀ·V)` — the eigenvector back-transformation.
+/// Apply `Q = I − W·Yᵀ` to a matrix from the left:
+/// `V ← V − W·(Yᵀ·V)` — the eigenvector back-transformation. `v` is any
+/// view with `W`'s row count, e.g. the rows `r_l..` of the eigenvectors a
+/// [`LevelWy`] acts on.
 // tcevd-lint: allow(R4) — two fixed GEMMs on shape-checked inputs; infallible by construction.
-pub fn apply_q(w: MatRef<'_, f32>, y: MatRef<'_, f32>, v: &mut Mat<f32>, ctx: &GemmContext) {
+pub fn apply_q(w: MatRef<'_, f32>, y: MatRef<'_, f32>, mut v: MatMut<'_, f32>, ctx: &GemmContext) {
     let k = w.cols();
     let mut t = Mat::<f32>::zeros(k, v.cols());
     ctx.gemm(
@@ -178,7 +185,7 @@ mod tests {
 
         let v: Mat<f32> = generate(n, MatrixType::Normal, 23).cast();
         let mut v1 = v.clone();
-        apply_q(w.as_ref(), y.as_ref(), &mut v1, &ctx);
+        apply_q(w.as_ref(), y.as_ref(), v1.as_mut(), &ctx);
         let v2 = tcevd_matrix::blas3::matmul(
             r.q.as_ref().unwrap().as_ref(),
             Op::NoTrans,
@@ -186,6 +193,45 @@ mod tests {
             Op::NoTrans,
         );
         assert!(v1.max_abs_diff(&v2) < 1e-3);
+    }
+
+    /// Applying the levels one at a time, last first, on row views equals
+    /// applying the accumulated Q — the pipeline's back-transform order.
+    #[test]
+    fn level_by_level_application_matches_accumulated_q() {
+        let n = 96;
+        let a: Mat<f32> = generate(n, MatrixType::Normal, 25).cast();
+        let ctx = GemmContext::new(Engine::Sgemm);
+        let opts = WyOptions {
+            bandwidth: 8,
+            block: 16,
+            panel: PanelKind::Tsqr,
+            accumulate_q: true,
+        };
+        let r = sbr_wy(&a, &opts, &ctx).expect("sbr reduction");
+        assert!(r.levels.len() > 1, "want a multi-level case");
+
+        let v: Mat<f32> = generate(n, MatrixType::Normal, 26)
+            .submatrix(0, 0, n, 7)
+            .cast();
+        let mut x = v.clone();
+        for l in r.levels.iter().rev() {
+            let rows = l.w.rows();
+            apply_q(
+                l.w.as_ref(),
+                l.y.as_ref(),
+                x.view_mut(l.row_offset, 0, rows, 7),
+                &ctx,
+            );
+        }
+        let want = tcevd_matrix::blas3::matmul(
+            r.q.as_ref().unwrap().as_ref(),
+            Op::NoTrans,
+            v.as_ref(),
+            Op::NoTrans,
+        );
+        let diff = x.max_abs_diff(&want);
+        assert!(diff < 1e-4, "diff={diff}");
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!   recursion with `nb` decoupled from `b` and the trailing update folded
 //!   into one rank-`nb` symmetric syr2k per block.
 //! * [`formw`] — the paper's Algorithm 2: recursive merge of per-block WY
-//!   factors for the eigenvector back-transformation.
-//! * [`bulge`] — band → tridiagonal bulge chasing (stage 2).
+//!   factors, and [`apply_q`], which applies one `(W, Y)` pair to a block of
+//!   vectors (the eigenvector pipeline applies the SBR levels one at a time).
+//! * [`bulge`] — band → tridiagonal bulge chasing (stage 2), which records
+//!   its reflectors for the eigenvector back-transformation.
 //! * [`trace_model`] — dry-run GEMM/panel shape traces of both SBR variants
 //!   at arbitrary n, validated call-for-call against the real
 //!   implementations; these drive the performance-model reproduction of the
@@ -38,7 +40,7 @@ pub mod sbr_wy;
 pub mod sbr_zy;
 pub mod trace_model;
 
-pub use bulge::{bulge_chase, bulge_chase_with, BulgeResult};
+pub use bulge::{bulge_chase, bulge_chase_with, BulgeResult, ChaseReflectors};
 pub use common::{max_outside_band, SbrOptions, SbrResult};
 pub use error::BandError;
 pub use formw::{apply_q, form_wy};

@@ -44,8 +44,9 @@ pub fn factor_panel<T: Scalar>(panel: MatRef<'_, T>, kind: PanelKind) -> Factore
     factor_panel_with(panel, kind, &TraceSink::disabled())
 }
 
-/// [`factor_panel`] with observability: emits a `panel` span and tallies
-/// `panel_count` plus a `panel_rows` histogram into `sink`.
+/// [`factor_panel`] with observability: emits a `panel` span, tallies
+/// `panel_count` plus a `panel_rows` histogram into `sink`, and adds the
+/// panel's flops to `kernel_flops.panel` and the `kernel_flops` total.
 pub fn factor_panel_with<T: Scalar>(
     panel: MatRef<'_, T>,
     kind: PanelKind,
@@ -55,7 +56,9 @@ pub fn factor_panel_with<T: Scalar>(
     let _span = span!(sink, "panel", rows, cols);
     sink.add("panel_count", 1);
     sink.record("panel_rows", rows as u64);
-    sink.add("kernel_flops.panel", tcevd_factor::tsqr_flops(rows, cols));
+    let flops = tcevd_factor::tsqr_flops(rows, cols);
+    sink.add("kernel_flops.panel", flops);
+    sink.add("kernel_flops", flops);
     factor_panel_impl(panel, kind, sink)
 }
 

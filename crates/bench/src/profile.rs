@@ -35,9 +35,10 @@ pub struct ProfileRun {
 }
 
 /// Which pipeline stage issued a traced GEMM, by label prefix. The SBR
-/// stage owns every WY/ZY kernel plus the FormW merge and Q accumulation
-/// (all run inside the `"sbr"` stage scope); the back-transformation owns
-/// the `evd_*` lifts and the `backtransform_*` FormW application.
+/// stage owns every WY/ZY/DBR kernel plus the dense Q accumulation (all run
+/// inside the `"sbr"` stage scope), and the FormW merge where a caller runs
+/// it; the back-transformation owns the ZY `evd_q1x` lift and the per-level
+/// `backtransform_*` application of the WY/DBR levels.
 fn stage_of(label: &str) -> Option<&'static str> {
     if label.starts_with("wy_")
         || label.starts_with("zy_")
@@ -146,13 +147,14 @@ pub fn profile_run(n: usize, seed: u64) -> ProfileRun {
             let model_s = model_stage_seconds(&model, &records, &s.stage, n, b, nb, engine);
             format!(
                 "    {{\"stage\": \"{}\", \"seconds\": {:.9}, \"flops\": {}, \"bytes\": {}, \
-                 \"calls\": {}, \"gflops\": {:.3}, \"intensity\": {:.3}, \"peak_bytes\": {}, \
-                 \"model_seconds\": {:.9}}}",
+                 \"calls\": {}, \"kernel_flops\": {}, \"gflops\": {:.3}, \"intensity\": {:.3}, \
+                 \"peak_bytes\": {}, \"model_seconds\": {:.9}}}",
                 s.stage,
                 s.time_ns as f64 / 1e9,
                 s.flops,
                 s.bytes,
                 s.calls,
+                s.kernel_flops,
                 s.gflops,
                 s.intensity,
                 s.peak_bytes,
@@ -214,6 +216,11 @@ pub fn profile_run(n: usize, seed: u64) -> ProfileRun {
         out,
         "    \"kernel_flops_bulge\": {},",
         sink.counter("kernel_flops.bulge")
+    );
+    let _ = writeln!(
+        out,
+        "    \"kernel_flops_chase_apply\": {},",
+        sink.counter("kernel_flops.chase_apply")
     );
     let _ = writeln!(
         out,

@@ -168,7 +168,7 @@ mod tests {
         let plan = FaultPlan::parse_json(
             r#"[
               {"kind": "gemm", "label": "no_such_step", "mode": "nan"},
-              {"kind": "gemm", "label": "evd_q2z", "mode": "inf"}
+              {"kind": "gemm", "label": "backtransform_wv", "mode": "inf"}
             ]"#,
         )
         .unwrap();
@@ -185,7 +185,7 @@ mod tests {
             r#"[
               {"kind": "dc_fail"},
               {"kind": "ql_fail", "times": 2},
-              {"kind": "gemm", "label": "evd_q2z", "mode": "nan"}
+              {"kind": "gemm", "label": "backtransform_wv", "mode": "nan"}
             ]"#,
         )
         .unwrap();

@@ -36,8 +36,7 @@ use crate::ql::{
 };
 use crate::tridiag::SymTridiag;
 use tcevd_band::{
-    bulge_chase_with, form_wy, sbr_dbr, sbr_wy, sbr_zy, DbrOptions, PanelKind, SbrOptions,
-    WyOptions,
+    bulge_chase_with, sbr_dbr, sbr_wy, sbr_zy, DbrOptions, PanelKind, SbrOptions, WyOptions,
 };
 use tcevd_matrix::{Mat, Op};
 use tcevd_tensorcore::GemmContext;
@@ -565,9 +564,12 @@ fn check_cancelled(ctx: &GemmContext, stage: EvdStage) -> Result<(), EvdError> {
 }
 
 /// One pass of the two-stage pipeline for `spectrum` (the verification
-/// rung re-runs it with the other tridiagonal solver). Each n×n buffer is
-/// dropped at its last use: the dense band inside the in-place chase,
-/// Q₂ and Z after Q₂·Z.
+/// rung re-runs it with the other tridiagonal solver). No n×n orthogonal
+/// factor is formed for WY and DBR: the chase records its reflectors and
+/// SBR keeps its per-level `(W, Y)` pairs, and the back-transform applies
+/// both straight to the tridiagonal eigenvectors. Each buffer is dropped
+/// at its last use: the dense band inside the in-place chase, Z once Zᵀ
+/// exists, the reflectors once applied.
 fn run_pipeline(
     a: &Mat<f32>,
     b: usize,
@@ -589,12 +591,12 @@ fn run_pipeline(
         sink.add("sbr_bytes_est", est);
     }
 
-    // Stage 1: successive band reduction. For eigenvectors, WY and DBR
-    // merge their per-level WY factors here (Algorithm 2, FormW) rather
-    // than accumulating a dense Q; ZY accumulates the dense Q₁ instead.
-    let (band, q1_wy, q1_dense) = {
+    // Stage 1: successive band reduction. For eigenvectors, WY and DBR keep
+    // their per-level (W, Y) pairs for the back-transform; ZY accumulates
+    // the dense Q₁ instead.
+    let (band, mut levels, q1_dense) = {
         let _stage = tcevd_prof::StageScope::begin(sink, "sbr");
-        let (band, levels, q1_dense) = match opts.sbr {
+        match opts.sbr {
             SbrVariant::Wy { block } => {
                 let wy = WyOptions {
                     bandwidth: b,
@@ -606,7 +608,7 @@ fn run_pipeline(
                 (r.band, r.levels, None)
             }
             SbrVariant::Dbr { block } => {
-                // DBR emits WY-style levels, so FormW serves it unchanged.
+                // DBR emits WY-style levels, applied the same way.
                 let dbr = DbrOptions {
                     bandwidth: b,
                     block,
@@ -625,10 +627,12 @@ fn run_pipeline(
                 let r = sbr_zy(a, &zy, ctx)?;
                 (r.band, Vec::new(), r.q)
             }
-        };
-        let q1_wy = (vectors && !levels.is_empty()).then(|| form_wy(&levels, n, ctx));
-        (band, q1_wy, q1_dense)
+        }
     };
+    if !vectors {
+        // Values-only needs no Q₁: free the levels before the chase.
+        levels = Vec::new();
+    }
     // A corrupted GEMM (fp16 overflow to Inf, a poisoned accumulator, …)
     // surfaces here as a stage-tagged error instead of a downstream
     // non-convergence mystery. Under the `sanitize` feature the per-GEMM
@@ -638,13 +642,13 @@ fn run_pipeline(
     check_cancelled(ctx, EvdStage::Sbr)?;
 
     // Stage 2: bulge chasing to tridiagonal, in place on the band, which
-    // is moved in and freed with the chase. Eigenvectors also need Q₂,
-    // which the chase accumulates; the values-only chase allocates no n×n
-    // buffer.
-    let (t, q2) = {
+    // is moved in and freed with the chase. Eigenvectors also need Q₂, of
+    // which the chase records only the reflectors (at most n²/2 values);
+    // no path allocates an n×n Q₂.
+    let (t, reflectors) = {
         let _stage = tcevd_prof::StageScope::begin(sink, "bulge_chase");
         let chase = bulge_chase_with(band, b, vectors, sink);
-        (SymTridiag::new(chase.diag, chase.offdiag), chase.q)
+        (SymTridiag::new(chase.diag, chase.offdiag), chase.reflectors)
     };
     ensure_finite(&t.d, EvdStage::BulgeChase)?;
     ensure_finite(&t.e, EvdStage::BulgeChase)?;
@@ -668,7 +672,7 @@ fn run_pipeline(
             vectors: None,
         });
     }
-    let (Some(q2), Some(z)) = (q2, z) else {
+    let (Some(reflectors), Some(z)) = (reflectors, z) else {
         return Err(EvdError::Unrecoverable {
             stage: EvdStage::BackTransform,
             detail: "the chase or the solver returned no vector factor despite the request"
@@ -676,57 +680,45 @@ fn run_pipeline(
         });
     };
 
-    // Back-transformation: X = Q₁·(Q₂·Z), n columns for the whole spectrum,
-    // k for a range.
+    // Stage 4, back-transformation: X = Q₁·(Q₂·Z), n columns for the whole
+    // spectrum, k for a range. Q₂·Z applies the chase reflectors to Z.
     let _bt_stage = tcevd_prof::StageScope::begin(sink, "back_transform");
     let _bt_span = span!(sink, "back_transform", n);
-    let mut x = Mat::<f32>::zeros(n, z.cols());
-    let (q2r, zr) = (q2.as_ref(), z.as_ref());
-    // One product, two call sites: GEMM labels are literals (lint R1), and
-    // a range keeps its own label so its per-label time stays separable.
-    match spectrum {
-        Spectrum::Range(_) => ctx.gemm(
-            "evd_sel_q2z",
+    let mut x = reflectors.apply(z, sink);
+    drop(reflectors);
+    if let Some(q1) = q1_dense {
+        let mut xq = Mat::<f32>::zeros(n, x.cols());
+        ctx.gemm(
+            "evd_q1x",
             1.0,
-            q2r,
+            q1.as_ref(),
             Op::NoTrans,
-            zr,
+            x.as_ref(),
             Op::NoTrans,
             0.0,
-            x.as_mut(),
-        ),
-        _ => ctx.gemm(
-            "evd_q2z",
-            1.0,
-            q2r,
-            Op::NoTrans,
-            zr,
-            Op::NoTrans,
-            0.0,
-            x.as_mut(),
-        ),
+            xq.as_mut(),
+        );
+        x = xq;
     }
-    drop((q2, z));
-    match (q1_wy, q1_dense) {
-        (Some((w, y)), _) => {
-            // X ← (I − W·Yᵀ)·X — the FormW back-transformation (paper §4.4).
-            tcevd_band::apply_q(w.as_ref(), y.as_ref(), &mut x, ctx);
+    // Q₁ = Q_1⋯Q_L with Q_l = I − W_l·Y_lᵀ acting on rows r_l.., so
+    // X ← Q_l·X level by level from the last (LAPACK `ormtr` order). ZY
+    // has no levels (its dense Q₁ was applied above), nor has n ≤ b+1,
+    // where SBR is a no-op. Each level is a cancellation seam, like the
+    // SBR levels it undoes.
+    let m = x.cols();
+    for l in levels.iter().rev() {
+        if ctx.cancel_requested() {
+            return Err(EvdError::DeadlineExceeded {
+                stage: EvdStage::BackTransform,
+            });
         }
-        (None, Some(q1)) => {
-            let mut xq = Mat::<f32>::zeros(n, x.cols());
-            ctx.gemm(
-                "evd_q1x",
-                1.0,
-                q1.as_ref(),
-                Op::NoTrans,
-                x.as_ref(),
-                Op::NoTrans,
-                0.0,
-                xq.as_mut(),
-            );
-            x = xq;
-        }
-        (None, None) => {} // n ≤ b+1: SBR was a no-op, Q₁ = I
+        let rows = l.w.rows();
+        tcevd_band::apply_q(
+            l.w.as_ref(),
+            l.y.as_ref(),
+            x.view_mut(l.row_offset, 0, rows, m),
+            ctx,
+        );
     }
     check_sanitizer(ctx, EvdStage::BackTransform)?;
     ensure_finite(x.as_slice(), EvdStage::BackTransform)?;
@@ -926,7 +918,7 @@ mod tests {
     }
 
     #[test]
-    fn eigenvectors_via_formw_backtransform() {
+    fn eigenvectors_via_level_by_level_wy_backtransform() {
         let n = 96;
         let a64 = generate(n, MatrixType::Normal, 54);
         let a: Mat<f32> = a64.cast();
@@ -1022,6 +1014,59 @@ mod tests {
         let x = sel.vectors.as_ref().unwrap();
         let res = crate::metrics::eigenpair_residual(a.as_ref(), &sel.values, x.as_ref());
         assert!(res < 1e-3, "residual {res}");
+    }
+
+    /// A traced top-k call credits the non-GEMM kernels to their stages
+    /// (`stage.*.kernel_flops`) and keeps them out of the GEMM-only
+    /// `stage.*.flops`.
+    #[test]
+    fn traced_selected_credits_kernel_flops_to_stages() {
+        use crate::bisect::EigRange;
+        let (n, b, k) = (80usize, 8usize, 5usize);
+        let a: Mat<f32> = generate(n, MatrixType::Geo { cond: 1e2 }, 58).cast();
+        let sink = TraceSink::enabled();
+        let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
+        let o = SymEigOptions {
+            trace: true,
+            ..opts(b, 32)
+        };
+        sym_eig_selected(&a, EigRange::Index { lo: n - k, hi: n }, &o, &ctx).unwrap();
+
+        let c = |key: &str| sink.counter(key);
+        let bulge = 6 * (n * n * b) as u64;
+        assert_eq!(c("kernel_flops.bulge"), bulge);
+        assert_eq!(c("stage.bulge_chase.kernel_flops"), bulge);
+        // Every chase reflector spans min(s + b, n) − s > 1 indices and
+        // costs 4·len·k flops on the k selected vectors.
+        let mut span_sum = 0u64;
+        for j in 0..n - 2 {
+            let mut s = j + 1;
+            while s < n && (s + b).min(n) - s > 1 {
+                span_sum += ((s + b).min(n) - s) as u64;
+                s += b;
+            }
+        }
+        let apply = 4 * k as u64 * span_sum;
+        assert_eq!(c("kernel_flops.chase_apply"), apply);
+        assert_eq!(c("stage.back_transform.kernel_flops"), apply);
+        assert_eq!(c("stage.sbr.kernel_flops"), c("kernel_flops.panel"));
+        assert_eq!(c("stage.tridiag_solve.kernel_flops"), 0);
+        assert_eq!(
+            c("kernel_flops"),
+            c("kernel_flops.panel") + bulge + apply,
+            "the total is the sum of the per-kernel counters"
+        );
+        // stage.*.flops stays GEMM-only: the back-transform's is exactly
+        // its two per-level GEMM labels.
+        let bt_gemm: u64 = sink
+            .gemms()
+            .iter()
+            .filter(|r| r.label.starts_with("backtransform_"))
+            .map(|r| r.flops())
+            .sum();
+        assert!(bt_gemm > 0);
+        assert_eq!(c("stage.back_transform.flops"), bt_gemm);
+        assert_eq!(c("stage.bulge_chase.flops"), 0);
     }
 
     #[test]

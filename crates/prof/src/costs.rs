@@ -160,14 +160,6 @@ pub const GEMM_COSTS: &[GemmCost] = &[
         label: "evd_q1x",
         accumulates: false,
     },
-    GemmCost {
-        label: "evd_q2z",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "evd_sel_q2z",
-        accumulates: false,
-    },
     // Lanczos partial eigensolver (core/lanczos.rs)
     GemmCost {
         label: "lanczos_av",

@@ -4,14 +4,15 @@
 //!
 //! The measurement substrate for every performance claim the repo makes:
 //!
-//! * **static cost registry** ([`mod@costs`]) — flop/byte formulas for all
-//!   37 `GEMM_LABELS` entries plus the panel/TSQR and bulge-chase kernels,
+//! * **static cost registry** ([`mod@costs`]) — flop/byte formulas for
+//!   every `GEMM_LABELS` entry plus the panel/TSQR and bulge-chase kernels,
 //!   mirroring the runtime counters `GemmContext` tallies (lint rule R6
 //!   enforces coverage);
 //! * **stage scopes** ([`StageScope`]) — RAII seams the pipeline wraps
 //!   around SBR / bulge chase / tridiagonal solve / back-transform,
-//!   attributing flops, bytes, GEMM calls, wall time and the matrix
-//!   allocation high watermark to each stage via `stage.*` counters;
+//!   attributing GEMM flops, bytes and calls, non-GEMM kernel flops, wall
+//!   time and the matrix allocation high watermark to each stage via
+//!   `stage.*` counters;
 //! * **derived reports** ([`mod@report`]) — per-label and per-stage
 //!   achieved-GFLOPS, a roofline summary against the Table-1 peaks, and
 //!   the model-residual join of measured rates vs `tcevd-perfmodel`'s A100
@@ -20,7 +21,7 @@
 //! Counter namespaces: everything wall-clock lives under the `time.`
 //! prefix (machine-dependent, excluded from the determinism contract like
 //! `par.*`); every other counter this crate records — `stage.*.flops`,
-//! `stage.*.bytes`, `stage.*.calls`, `stage.*.peak_bytes`,
+//! `stage.*.bytes`, `stage.*.calls`, `stage.*.kernel_flops`, `stage.*.peak_bytes`,
 //! `mem.peak_bytes` — is bit-identical at any worker-pool size.
 
 pub mod costs;
@@ -38,11 +39,18 @@ pub use report::{
 use std::time::Instant;
 use tcevd_trace::TraceSink;
 
-/// RAII stage seam: snapshot the GEMM counters and (on an enabled sink)
-/// reset the matrix allocation watermark on entry, attribute the deltas to
-/// `stage.{name}.{flops,bytes,calls,peak_bytes}` plus
+/// RAII stage seam: snapshot the GEMM counters and the `kernel_flops` total
+/// and (on an enabled sink) reset the matrix allocation watermark on entry,
+/// attribute the deltas to
+/// `stage.{name}.{flops,bytes,calls,kernel_flops,peak_bytes}` plus
 /// `time.stage.{name}_ns` on drop. The global `mem.peak_bytes` watermark
 /// (ROADMAP item 5) is raised alongside.
+///
+/// `stage.{name}.flops` counts GEMM flops only; the non-GEMM kernels
+/// (panel factorization, bulge chase, chase-reflector application) add to
+/// their own `kernel_flops.*` counter and the `kernel_flops` total, which
+/// lands in `stage.{name}.kernel_flops`. Keeping the two apart lets a
+/// stage's GEMM flops be matched against its GEMM labels.
 ///
 /// Peaks use [`TraceSink::set_max`] so a stage that re-runs under recovery
 /// keeps its worst case; the additive counters accumulate across re-runs
@@ -67,6 +75,7 @@ pub struct StageScope {
     flops0: u64,
     bytes0: u64,
     calls0: u64,
+    kernel_flops0: u64,
 }
 
 impl StageScope {
@@ -87,6 +96,7 @@ impl StageScope {
             flops0: sink.counter("gemm_flops"),
             bytes0: sink.counter("gemm_bytes"),
             calls0: sink.counter("gemm_calls"),
+            kernel_flops0: sink.counter("kernel_flops"),
         }
     }
 }
@@ -109,6 +119,10 @@ impl Drop for StageScope {
         self.sink.add(
             &format!("stage.{s}.calls"),
             delta("gemm_calls", self.calls0),
+        );
+        self.sink.add(
+            &format!("stage.{s}.kernel_flops"),
+            delta("kernel_flops", self.kernel_flops0),
         );
         let peak = tcevd_matrix::mem::peak_bytes();
         self.sink.set_max(&format!("stage.{s}.peak_bytes"), peak);
@@ -160,7 +174,7 @@ mod tests {
         }
         {
             let _s = StageScope::begin(&sink, "back_transform");
-            run("evd_q2z");
+            run("backtransform_wv");
         }
         let per_gemm = 2u64 * 6 * 6 * 6;
         assert_eq!(sink.counter("stage.sbr.flops"), 2 * per_gemm);
@@ -183,6 +197,26 @@ mod tests {
         assert!(sink
             .prometheus_text()
             .contains("tcevd_counter_total{name=\"mem.peak_bytes\"}"));
+    }
+
+    #[test]
+    fn kernel_flops_are_credited_apart_from_gemm_flops() {
+        let _serial = WATERMARK_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let sink = TraceSink::enabled();
+        {
+            let _s = StageScope::begin(&sink, "bulge_chase");
+            sink.add("kernel_flops.bulge", 600);
+            sink.add("kernel_flops", 600);
+        }
+        {
+            let _s = StageScope::begin(&sink, "back_transform");
+            sink.add("kernel_flops.chase_apply", 40);
+            sink.add("kernel_flops", 40);
+        }
+        assert_eq!(sink.counter("stage.bulge_chase.kernel_flops"), 600);
+        assert_eq!(sink.counter("stage.back_transform.kernel_flops"), 40);
+        assert_eq!(sink.counter("stage.bulge_chase.flops"), 0);
+        assert_eq!(sink.counter("stage.back_transform.flops"), 0);
     }
 
     #[test]

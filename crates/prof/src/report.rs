@@ -35,9 +35,13 @@ pub struct LabelReport {
 #[derive(Clone, Debug, PartialEq)]
 pub struct StageReport {
     pub stage: String,
+    /// GEMM flops (`stage.{stage}.flops`).
     pub flops: u64,
     pub bytes: u64,
     pub calls: u64,
+    /// Non-GEMM kernel flops (`stage.{stage}.kernel_flops`): panel
+    /// factorization, bulge chase, chase-reflector application.
+    pub kernel_flops: u64,
     /// Matrix-buffer allocation high watermark inside the stage.
     pub peak_bytes: u64,
     /// Stage wall time (`time.stage.{stage}_ns`).
@@ -112,6 +116,7 @@ pub fn stage_reports(sink: &TraceSink) -> Vec<StageReport> {
             flops,
             bytes,
             calls: get("calls"),
+            kernel_flops: get("kernel_flops"),
             peak_bytes: get("peak_bytes"),
             time_ns,
             gflops: gflops_of(flops, time_ns),

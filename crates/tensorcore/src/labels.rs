@@ -54,7 +54,7 @@ pub const GEMM_LABELS: &[&str] = &[
     "dbr_inner_wx",
     "dbr_inner_x",
     "dbr_syr2k",
-    // tcevd-band: recursive FormW merge + back-transformation (formw.rs)
+    // tcevd-band: recursive FormW merge + per-level back-transformation (formw.rs)
     "backtransform_wv",
     "backtransform_ytv",
     "formw_w",
@@ -64,8 +64,6 @@ pub const GEMM_LABELS: &[&str] = &[
     "q_acc_update",
     // tcevd-core: EVD pipeline back-transformation (pipeline.rs)
     "evd_q1x",
-    "evd_q2z",
-    "evd_sel_q2z",
     // tcevd-core: block Lanczos (lanczos.rs)
     "lanczos_av",
     "lanczos_avk",
@@ -103,11 +101,11 @@ mod tests {
 
     #[test]
     fn membership_queries() {
-        assert!(is_registered("evd_q2z"));
+        assert!(is_registered("backtransform_wv"));
         assert!(is_registered("zy_syr2k"));
         assert!(is_registered("wy_inner_x"));
         assert!(!is_registered(""));
         assert!(!is_registered("warp_drive"));
-        assert!(!is_registered("EVD_Q2Z")); // case-sensitive
+        assert!(!is_registered("BACKTRANSFORM_WV")); // case-sensitive
     }
 }

@@ -9,7 +9,7 @@
 //! ```json
 //! [
 //!   {"kind": "poison_pivot", "index": 2},
-//!   {"kind": "gemm", "label": "evd_q2z", "nth": 1, "mode": "nan"}
+//!   {"kind": "gemm", "label": "backtransform_wv", "nth": 1, "mode": "nan"}
 //! ]
 //! ```
 //!
@@ -259,7 +259,7 @@ mod tests {
               {"kind": "partial_pivot_fail", "times": 3},
               {"kind": "dc_fail"},
               {"kind": "ql_fail", "times": 2},
-              {"kind": "gemm", "label": "evd_q2z", "nth": 4, "mode": "f16_overflow"},
+              {"kind": "gemm", "label": "backtransform_wv", "nth": 4, "mode": "f16_overflow"},
               {"kind": "gemm", "mode": "inf"}
             ]"#,
         )
@@ -272,7 +272,7 @@ mod tests {
         assert_eq!(
             plan.faults[4],
             Fault::Gemm {
-                label: Some("evd_q2z".into()),
+                label: Some("backtransform_wv".into()),
                 nth: 4,
                 mode: GemmFaultMode::F16Overflow,
             }

@@ -197,8 +197,9 @@ fn thread_count_is_invisible_dbr_detached_block() {
 
 #[test]
 fn thread_count_is_invisible_on_the_batched_q_path() {
-    // n = 300 crosses the batched-Q cutoff in the bulge chase (n ≥ 256),
-    // so this configuration exercises the parallel row-block Q update and
+    // n = 300 full vectors give a 300-row Zᵀ, which crosses the
+    // row-parallel cutoff (≥ 256 rows) of the chase-reflector application,
+    // so this configuration exercises the parallel row-block update and
     // the parallel GEMM fan-out together.
     assert_thread_invariant(
         13,

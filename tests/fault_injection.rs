@@ -140,7 +140,7 @@ fn gemm_nan_is_caught_at_the_sbr_stage() {
 #[test]
 fn gemm_inf_in_back_transform_is_stage_tagged() {
     let (r, sink, _) = run_plan(
-        r#"[{"kind": "gemm", "label": "evd_q2z", "mode": "inf"}]"#,
+        r#"[{"kind": "gemm", "label": "backtransform_wv", "mode": "inf"}]"#,
         &opts(TridiagSolver::DivideConquer),
     );
     assert_eq!(sink.counter("fault.gemm_injected"), 1);
@@ -159,7 +159,7 @@ fn gemm_inf_in_back_transform_is_stage_tagged() {
         matches!(
             r,
             Err(EvdError::Sanitizer {
-                label: "evd_q2z",
+                label: "backtransform_wv",
                 stage: EvdStage::BackTransform,
                 ..
             })
@@ -240,7 +240,7 @@ fn silent_f16_overflow_is_caught_by_the_residual_check() {
     let mut o = opts(TridiagSolver::DivideConquer);
     o.recovery.verify_tol = Some(1e-2);
     let (r, sink, a) = run_plan(
-        r#"[{"kind": "gemm", "label": "evd_q2z", "mode": "f16_overflow"}]"#,
+        r#"[{"kind": "gemm", "label": "backtransform_wv", "mode": "f16_overflow"}]"#,
         &o,
     );
     let r = r.expect("one re-solve recovers");
@@ -259,7 +259,7 @@ fn f16_overflow_is_preempted_by_the_sanitizer() {
     o.recovery.verify_tol = Some(1e-2);
     let (r, sink, _) = run_plan_on(
         Engine::Tc,
-        r#"[{"kind": "gemm", "label": "evd_q2z", "mode": "f16_overflow"}]"#,
+        r#"[{"kind": "gemm", "label": "backtransform_wv", "mode": "f16_overflow"}]"#,
         &o,
     );
     assert_eq!(sink.counter("fault.gemm_injected"), 1);
@@ -268,7 +268,7 @@ fn f16_overflow_is_preempted_by_the_sanitizer() {
         matches!(
             r,
             Err(EvdError::Sanitizer {
-                label: "evd_q2z",
+                label: "backtransform_wv",
                 stage: EvdStage::BackTransform,
                 ..
             })

@@ -374,7 +374,7 @@ proptest! {
         let boundary_clear = |x: f32| {
             full.values.iter().all(|v| (v - x).abs() > 1e-3)
         };
-        // WY back-transforms a range through FormW, ZY through its dense Q₁
+        // WY back-transforms a range level by level, ZY through its dense Q₁
         for sbr in [SbrVariant::Wy { block: 8 }, SbrVariant::Zy] {
             let opts = SymEigOptions { sbr, ..opts };
             // index range as drawn (possibly empty / inverted / past n)

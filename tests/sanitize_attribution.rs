@@ -95,21 +95,21 @@ fn clean_sanitized_run_has_no_violations() {
 #[test]
 fn nan_fault_is_attributed_to_the_producing_label() {
     let (r, sink) = run_plan(
-        r#"[{"kind": "gemm", "label": "evd_q2z", "mode": "nan"}]"#,
+        r#"[{"kind": "gemm", "label": "backtransform_wv", "mode": "nan"}]"#,
         &opts(SbrVariant::Wy { block: 16 }),
     );
     assert_eq!(sink.counter("fault.gemm_injected"), 1);
-    assert_attributed(&r, &sink, "evd_q2z", EvdStage::BackTransform);
+    assert_attributed(&r, &sink, "backtransform_wv", EvdStage::BackTransform);
 }
 
 #[test]
 fn inf_fault_is_attributed_to_the_producing_label() {
     let (r, sink) = run_plan(
-        r#"[{"kind": "gemm", "label": "evd_q2z", "mode": "inf"}]"#,
+        r#"[{"kind": "gemm", "label": "backtransform_wv", "mode": "inf"}]"#,
         &opts(SbrVariant::Wy { block: 16 }),
     );
     assert_eq!(sink.counter("fault.gemm_injected"), 1);
-    assert_attributed(&r, &sink, "evd_q2z", EvdStage::BackTransform);
+    assert_attributed(&r, &sink, "backtransform_wv", EvdStage::BackTransform);
 }
 
 #[test]
@@ -120,11 +120,11 @@ fn finite_f16_overflow_is_caught_without_a_residual_check() {
     // the GEMM
     let (r, sink) = run_plan_on(
         Engine::Tc,
-        r#"[{"kind": "gemm", "label": "evd_q2z", "mode": "f16_overflow"}]"#,
+        r#"[{"kind": "gemm", "label": "backtransform_wv", "mode": "f16_overflow"}]"#,
         &opts(SbrVariant::Wy { block: 16 }),
     );
     assert_eq!(sink.counter("fault.gemm_injected"), 1);
-    assert_attributed(&r, &sink, "evd_q2z", EvdStage::BackTransform);
+    assert_attributed(&r, &sink, "backtransform_wv", EvdStage::BackTransform);
     assert_eq!(
         sink.counter("recovery.residual_resolve"),
         0,
@@ -186,13 +186,13 @@ fn attribution_is_identical_across_thread_counts() {
     // With workers scanning GEMM outputs concurrently, the *selected* first
     // violation must still be deterministic: the same fault plan has to
     // produce the same label, stage, and counter totals at 1 and 4 threads.
-    let plan = r#"[{"kind": "gemm", "label": "evd_q2z", "mode": "nan"}]"#;
+    let plan = r#"[{"kind": "gemm", "label": "backtransform_wv", "mode": "nan"}]"#;
     let mut results = Vec::new();
     for threads in [1usize, 4] {
         let mut o = opts(SbrVariant::Wy { block: 16 });
         o.threads = threads;
         let (r, sink) = run_plan(plan, &o);
-        assert_attributed(&r, &sink, "evd_q2z", EvdStage::BackTransform);
+        assert_attributed(&r, &sink, "backtransform_wv", EvdStage::BackTransform);
         let counters: Vec<(String, u64)> = sink
             .counters()
             .into_iter()
@@ -217,8 +217,9 @@ fn sanitizer_reports_are_consumed_by_the_failing_run() {
     let a: Mat<f32> = generate(N, MatrixType::Normal, SEED).cast();
     let sink = TraceSink::enabled();
     let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
-    let plan = FaultPlan::parse_json(r#"[{"kind": "gemm", "label": "evd_q2z", "mode": "nan"}]"#)
-        .expect("plan parses");
+    let plan =
+        FaultPlan::parse_json(r#"[{"kind": "gemm", "label": "backtransform_wv", "mode": "nan"}]"#)
+            .expect("plan parses");
     fault::apply_plan(&plan, &ctx);
     let o = opts(SbrVariant::Wy { block: 16 });
     let r1 = sym_eig(&a, &o, &ctx);
